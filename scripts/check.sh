@@ -19,6 +19,16 @@ if [[ "${1:-}" == "--tier1-only" ]]; then
 fi
 
 echo
+echo "== perfbench tier: every benchmark workload in --short mode =="
+# Builds perfbench against src/ (into .bench_build/) and runs each
+# workload for a few periods, untraced and traced, with the full
+# per-period checks: bit-equality with the monolithic ControlTree on
+# the lossy plane, §4.3 conservation on the deep UDP tree, no trips
+# and SPO commits on the Table-4 loop, and a codec round trip of every
+# captured frame. A codec or message-plane regression fails here.
+python3 perfbench/test_short.py
+
+echo
 echo "== udp tier: multi-process loopback smoke (capmaestro_worker) =="
 # One room + two rack daemons over real 127.0.0.1 sockets, one rack
 # killed mid-run; asserts the §4.5 heartbeat failover from outside the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <optional>
 
 #include "net/wire.hh"
 #include "util/logging.hh"
@@ -108,7 +109,9 @@ RackWorker::refreshLeafMetrics(Edge &edge)
 {
     const auto &topo_tree = system_.tree(edge.tree);
     for (std::size_t i = 0; i < edge.leaves.size(); ++i) {
-        ctrl::NodeMetrics m;
+        // Rewritten in place: a period allocates nothing per leaf.
+        ctrl::NodeMetrics &m = edge.leafMetrics[i];
+        m.clear();
         const ctrl::LeafInput &in = edge.inputs[i];
         if (in.live) {
             // Identical to ControlTree's leaf handling.
@@ -120,7 +123,6 @@ RackWorker::refreshLeafMetrics(Edge &edge)
             m.accumulate(in.priority, in.capMin, demand, demand);
             m.setConstraint(constraint);
         }
-        edge.leafMetrics[i] = std::move(m);
     }
 }
 
@@ -141,9 +143,9 @@ RackWorker::applyBudget(std::size_t tree, topo::NodeId node, Watts budget)
     // Mirror ControlTree: never distribute beyond the device limit.
     const Watts usable =
         std::min(budget, system_.tree(tree).node(node).limit());
-    const auto split = ctrl::budgetChildren(usable, edge.leafMetrics,
-                                            policy_.leafPriorityAware);
-    edge.leafBudgets = split.childBudgets;
+    auto split = ctrl::budgetChildren(usable, edge.leafMetrics,
+                                      policy_.leafPriorityAware);
+    edge.leafBudgets = std::move(split.childBudgets);
 }
 
 Watts
@@ -180,7 +182,7 @@ RoomWorker::RoomWorker(const topo::PowerSystem &system,
                        std::vector<std::set<topo::NodeId>> edge_nodes,
                        ctrl::TreePolicy policy)
     : system_(system), edgeNodes_(std::move(edge_nodes)), policy_(policy),
-      lastCache_(edgeNodes_.size())
+      lastChildren_(edgeNodes_.size())
 {
 }
 
@@ -190,7 +192,7 @@ RoomWorker::RoomWorker(const topo::PowerSystem &system,
                        ctrl::TreePolicy policy)
     : system_(system), edgeNodes_(std::move(boundaries)),
       policy_(policy), tops_(std::move(tops)),
-      lastCache_(edgeNodes_.size())
+      lastChildren_(edgeNodes_.size())
 {
     if (tops_.size() != edgeNodes_.size()) {
         util::fatal("RoomWorker: %zu fragment tops for %zu boundary "
@@ -211,57 +213,49 @@ RoomWorker::topOf(std::size_t tree) const
     return top;
 }
 
-ctrl::NodeMetrics
+void
 RoomWorker::gatherAbove(std::size_t tree, topo::NodeId node,
                         const std::map<topo::NodeId, ctrl::NodeMetrics>
                             &edges,
-                        std::map<topo::NodeId, ctrl::NodeMetrics> &cache)
+                        ctrl::NodeMetrics &out)
 {
     if (edgeNodes_.at(tree).count(node)) {
         // Edge node: the rack worker's message is this node's metrics.
         const auto it = edges.find(node);
-        const ctrl::NodeMetrics m =
-            it != edges.end() ? it->second : ctrl::NodeMetrics{};
-        cache[node] = m;
-        return m;
+        if (it != edges.end())
+            out = it->second;
+        else
+            out.clear();
+        return;
     }
 
-    const auto &topo_tree = system_.tree(tree);
-    const auto &tn = topo_tree.node(node);
-    std::vector<ctrl::NodeMetrics> children;
-    children.reserve(tn.children.size());
-    for (const topo::NodeId c : tn.children)
-        children.push_back(gatherAbove(tree, c, edges, cache));
-    ctrl::NodeMetrics m = ctrl::gatherMetrics(
-        children, tn.limit(), policy_.upperPriorityAware);
-    cache[node] = m;
-    return m;
+    const auto &tn = system_.tree(tree).node(node);
+    // Map references survive the insertions the recursion makes.
+    std::vector<ctrl::NodeMetrics> &children = lastChildren_[tree][node];
+    children.resize(tn.children.size());
+    for (std::size_t i = 0; i < tn.children.size(); ++i)
+        gatherAbove(tree, tn.children[i], edges, children[i]);
+    out = ctrl::gatherMetrics(children, tn.limit(),
+                              policy_.upperPriorityAware);
 }
 
 void
 RoomWorker::budgetAbove(std::size_t tree, topo::NodeId node, Watts budget,
-                        const std::map<topo::NodeId, ctrl::NodeMetrics>
-                            &cache,
-                        std::map<topo::NodeId, Watts> &edge_budgets)
+                        std::map<topo::NodeId, Watts> &edge_budgets) const
 {
     if (edgeNodes_.at(tree).count(node)) {
         edge_budgets[node] = budget;
         return;
     }
 
-    const auto &topo_tree = system_.tree(tree);
-    const auto &tn = topo_tree.node(node);
-    std::vector<ctrl::NodeMetrics> children;
-    children.reserve(tn.children.size());
-    for (const topo::NodeId c : tn.children)
-        children.push_back(cache.at(c));
+    const auto &tn = system_.tree(tree).node(node);
     const Watts usable = std::min(budget, tn.limit());
-    const auto split = ctrl::budgetChildren(usable, children,
-                                            policy_.upperPriorityAware);
-    for (std::size_t i = 0; i < tn.children.size(); ++i) {
-        budgetAbove(tree, tn.children[i], split.childBudgets[i], cache,
+    const auto split =
+        ctrl::budgetChildren(usable, lastChildren_.at(tree).at(node),
+                             policy_.upperPriorityAware);
+    for (std::size_t i = 0; i < tn.children.size(); ++i)
+        budgetAbove(tree, tn.children[i], split.childBudgets[i],
                     edge_budgets);
-    }
 }
 
 ctrl::NodeMetrics
@@ -269,9 +263,9 @@ RoomWorker::gatherTop(std::size_t tree,
                       const std::map<topo::NodeId, ctrl::NodeMetrics>
                           &boundary_metrics)
 {
-    auto &cache = lastCache_.at(tree);
-    cache.clear();
-    return gatherAbove(tree, topOf(tree), boundary_metrics, cache);
+    ctrl::NodeMetrics top;
+    gatherAbove(tree, topOf(tree), boundary_metrics, top);
+    return top;
 }
 
 std::map<topo::NodeId, Watts>
@@ -283,7 +277,7 @@ RoomWorker::budgetDown(std::size_t tree, Watts top_budget)
     // (or unlimited-root) grant never overloads the fragment.
     const Watts budget =
         std::min(top_budget, system_.tree(tree).node(top).limit());
-    budgetAbove(tree, top, budget, lastCache_.at(tree), edge_budgets);
+    budgetAbove(tree, top, budget, edge_budgets);
     return edge_budgets;
 }
 
@@ -298,6 +292,19 @@ RoomWorker::iterate(std::size_t tree,
 }
 
 // --------------------------------------------------- DistributedControlPlane
+
+namespace {
+
+/** A frame sent for one edge, kept for retransmission until answered. */
+struct PendingFrame
+{
+    /** Dense edge index. */
+    std::size_t edge;
+    std::size_t rack;
+    std::vector<std::uint8_t> frame;
+};
+
+} // namespace
 
 std::vector<std::map<topo::NodeId, std::size_t>>
 DistributedControlPlane::partition(const topo::PowerSystem &system)
@@ -356,22 +363,6 @@ DistributedControlPlane::rackWorkerCountFor(const topo::PowerSystem &system)
     return rack_count;
 }
 
-namespace {
-
-std::vector<std::set<topo::NodeId>>
-edgeNodeSets(const std::vector<std::map<topo::NodeId, std::size_t>>
-                 &owners)
-{
-    std::vector<std::set<topo::NodeId>> sets(owners.size());
-    for (std::size_t t = 0; t < owners.size(); ++t) {
-        for (const auto &[node, rack] : owners[t])
-            sets[t].insert(node);
-    }
-    return sets;
-}
-
-} // namespace
-
 DistributedControlPlane::DistributedControlPlane(
     const topo::PowerSystem &system, ctrl::TreePolicy policy,
     std::vector<std::uint32_t> agg_levels)
@@ -410,10 +401,17 @@ DistributedControlPlane::buildWorkers()
     for (std::size_t r = 0; r < rack_count; ++r)
         racks_.emplace_back(system_, policy_);
 
+    // owners[t] is ordered by node id, so edges_ comes out in (tree,
+    // node) order — the order every per-edge loop walks.
+    lastTreeMetrics_.assign(system_.trees().size(), {});
+    edgeIndex_.resize(owners.size());
     for (std::size_t t = 0; t < owners.size(); ++t) {
+        edgeIndex_[t].assign(system_.tree(t).size(), kNoEdge);
         for (const auto &[node, rack] : owners[t]) {
             racks_[rack].addEdge(t, node);
-            edgeOwner_[{t, node}] = rack;
+            edgeIndex_[t][static_cast<std::size_t>(node)] = edges_.size();
+            edges_.push_back({t, node, rack});
+            lastTreeMetrics_[t][node] = {};
             for (const topo::NodeId c :
                  system_.tree(t).node(node).children) {
                 const auto &ref = *system_.tree(t).node(c).supplyRef;
@@ -426,7 +424,6 @@ DistributedControlPlane::buildWorkers()
     rackFailed_.assign(rack_count, false);
     rackDeclaredDead_.assign(rack_count, false);
     missedHeartbeats_.assign(rack_count, 0);
-    lastTreeMetrics_.assign(system_.trees().size(), {});
 
     // Aggregator fragments for deep plans: one RoomWorker per internal
     // non-root worker, cut at its stations and its children's.
@@ -436,6 +433,17 @@ DistributedControlPlane::buildWorkers()
                            plan_.boundariesOf(ep), policy_);
     }
     aggSeq_.assign(aggs_.size(), 0);
+}
+
+std::size_t
+DistributedControlPlane::edgeIndexOf(std::size_t tree,
+                                     topo::NodeId node) const
+{
+    if (tree >= edgeIndex_.size() || node < 0
+        || static_cast<std::size_t>(node) >= edgeIndex_[tree].size()) {
+        return kNoEdge;
+    }
+    return edgeIndex_[tree][static_cast<std::size_t>(node)];
 }
 
 net::Transport::Endpoint
@@ -661,7 +669,7 @@ DistributedControlPlane::rehomeWorker(std::size_t rack,
     }
 
     for (RackWorker::Edge &edge : racks_[rack].releaseEdges()) {
-        edgeOwner_[{edge.tree, edge.node}] = adopter;
+        edges_[edgeIndexOf(edge.tree, edge.node)].rack = adopter;
         for (const auto &ref : edge.leaves)
             leafToRack_[{ref.server, ref.supply}] = adopter;
         racks_[adopter].adoptEdge(std::move(edge));
@@ -694,35 +702,36 @@ DistributedControlPlane::iterateDirect(
     MessageStats stats;
     const auto iterate_span =
         tracer_ ? tracer_->begin("iterate") : telemetry::PeriodTracer::kNoSpan;
-    lastTreeMetrics_.assign(system_.trees().size(), {});
     for (std::size_t t = 0; t < system_.trees().size(); ++t) {
-        if (system_.feedFailed(system_.tree(t).feed()))
+        auto &edge_metrics = lastTreeMetrics_[t];
+        if (system_.feedFailed(system_.tree(t).feed())) {
+            for (auto &[node, m] : edge_metrics)
+                m.clear();
             continue;
+        }
         const auto tree_span =
             tracer_ ? tracer_->begin("tree", iterate_span)
                     : telemetry::PeriodTracer::kNoSpan;
 
         // Upstream: every edge in this tree reports metrics.
-        std::map<topo::NodeId, ctrl::NodeMetrics> edge_metrics;
-        for (const auto &[key, rack] : edgeOwner_) {
-            if (key.first != t)
+        for (const PlaneEdge &edge : edges_) {
+            if (edge.tree != t)
                 continue;
-            ctrl::NodeMetrics m =
-                racks_[rack].computeMetrics(t, key.second);
+            ctrl::NodeMetrics &m = edge_metrics[edge.node];
+            m = racks_[edge.rack].computeMetrics(t, edge.node);
             ++stats.metricsMessages;
             stats.metricClassesSent += m.classes().size();
-            edge_metrics.emplace(key.second, std::move(m));
         }
 
         // Room worker computes the upper tree and returns edge budgets.
         const auto edge_budgets =
             room_.iterate(t, edge_metrics, root_budgets[t]);
-        lastTreeMetrics_[t] = std::move(edge_metrics);
 
         // Downstream: budgets back to the owning rack workers.
         for (const auto &[node, budget] : edge_budgets) {
             ++stats.budgetMessages;
-            racks_[edgeOwner_.at({t, node})].applyBudget(t, node, budget);
+            racks_[edges_[edgeIndexOf(t, node)].rack].applyBudget(
+                t, node, budget);
         }
         if (tracer_) {
             tracer_->num(tree_span, "tree", static_cast<double>(t));
@@ -764,14 +773,8 @@ DistributedControlPlane::iterateTransport(
     };
 
     // ---------------- upstream: heartbeats + per-edge metrics
-    struct PendingUp
-    {
-        std::size_t tree;
-        topo::NodeId node;
-        std::size_t rack;
-        std::vector<std::uint8_t> frame;
-    };
-    std::vector<PendingUp> pending_up;
+    std::vector<PendingFrame> pending_up;
+    pending_up.reserve(edges_.size());
     for (std::size_t r = 0; r < racks_.size(); ++r) {
         if (rackFailed_[r] || rackDeclaredDead_[r])
             continue;
@@ -794,17 +797,17 @@ DistributedControlPlane::iterateTransport(
                 msg);
             tp.send(static_cast<net::Transport::Endpoint>(r), room,
                     frame);
-            pending_up.push_back(
-                {edge.tree, edge.node, r, std::move(frame)});
+            pending_up.push_back({edgeIndexOf(edge.tree, edge.node), r,
+                                  std::move(frame)});
         }
     }
 
-    std::map<std::pair<std::size_t, topo::NodeId>, ctrl::NodeMetrics>
-        fresh;
-    std::set<std::size_t> heard;
+    // Per-round state, indexed by dense edge index (or rack).
+    std::vector<std::optional<ctrl::NodeMetrics>> fresh(edges_.size());
+    std::vector<bool> heard(racks_.size(), false);
     const auto poll_room = [&] {
         for (const auto &bytes : tp.poll(room)) {
-            const auto frame = net::decodeFrame(bytes);
+            auto frame = net::decodeFrame(bytes);
             if (!frame) {
                 ++stats.corruptFrames;
                 continue;
@@ -814,13 +817,14 @@ DistributedControlPlane::iterateTransport(
                 continue;
             }
             if (frame->sender < racks_.size())
-                heard.insert(frame->sender);
-            if (frame->type == net::MsgType::Metrics) {
-                fresh[{frame->metrics.tree,
-                       static_cast<topo::NodeId>(
-                           frame->metrics.edgeNode)}] =
-                    frame->metrics.metrics;
-            }
+                heard[frame->sender] = true;
+            if (frame->type != net::MsgType::Metrics)
+                continue;
+            const std::size_t e = edgeIndexOf(
+                frame->metrics.tree,
+                static_cast<topo::NodeId>(frame->metrics.edgeNode));
+            if (e != kNoEdge)
+                fresh[e] = std::move(frame->metrics.metrics);
         }
     };
 
@@ -832,8 +836,8 @@ DistributedControlPlane::iterateTransport(
         tp.advanceTo(next);
         poll_room();
         bool all_in = true;
-        for (const PendingUp &up : pending_up) {
-            if (fresh.count({up.tree, up.node}))
+        for (const PendingFrame &up : pending_up) {
+            if (fresh[up.edge])
                 continue;
             all_in = false;
             ++stats.retries;
@@ -850,7 +854,7 @@ DistributedControlPlane::iterateTransport(
     for (std::size_t r = 0; r < racks_.size(); ++r) {
         if (rackDeclaredDead_[r])
             continue;
-        if (heard.count(r)) {
+        if (heard[r]) {
             missedHeartbeats_[r] = 0;
         } else if (++missedHeartbeats_[r]
                    >= protocol_.heartbeatFailAfter) {
@@ -858,17 +862,22 @@ DistributedControlPlane::iterateTransport(
         }
     }
 
-    // Assemble per-tree edge metrics with §4.5 stale fallback.
-    std::vector<std::map<topo::NodeId, ctrl::NodeMetrics>> tree_metrics(
-        system_.trees().size());
-    for (const auto &[key, rack] : edgeOwner_) {
-        const auto [t, node] = key;
-        if (!tree_live(t))
+    // Assemble per-tree edge metrics with §4.5 stale fallback, in place
+    // into the room's view (the base the SPO round overlays).
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
+        const auto [t, node, rack] = edges_[e];
+        ctrl::NodeMetrics &slot = lastTreeMetrics_[t][node];
+        if (!tree_live(t)) {
+            slot.clear();
             continue;
-        const auto got = fresh.find(key);
-        if (got != fresh.end()) {
-            tree_metrics[t][node] = got->second;
-            metricCache_[key] = {got->second, epoch_, true};
+        }
+        const std::pair<std::size_t, topo::NodeId> key{t, node};
+        if (fresh[e]) {
+            CachedMetrics &cache = metricCache_[key];
+            cache.metrics = *fresh[e];
+            cache.epoch = epoch_;
+            cache.valid = true;
+            slot = std::move(*fresh[e]);
             continue;
         }
         const auto cached = metricCache_.find(key);
@@ -879,22 +888,20 @@ DistributedControlPlane::iterateTransport(
         if (cached != metricCache_.end() && cached->second.valid
             && age <= static_cast<std::uint32_t>(
                    protocol_.staleAgeCapPeriods)) {
-            tree_metrics[t][node] = cached->second.metrics;
+            slot = cached->second.metrics;
             ++stats.staleReuses;
             stats.degraded.push_back({DegradedKind::StaleMetricsReused,
                                       t, node, rack,
                                       static_cast<double>(age)});
         } else {
             // Too old (or never seen): the edge contributes nothing.
+            slot.clear();
             ++stats.metricsLost;
             stats.degraded.push_back(
                 {DegradedKind::MetricsLost, t, node, rack,
                  static_cast<double>(age)});
         }
     }
-
-    // The SPO round (if any) overlays pinned summaries on this view.
-    lastTreeMetrics_ = tree_metrics;
 
     const std::size_t gather_retries = stats.retries;
     if (tracer_) {
@@ -919,21 +926,16 @@ DistributedControlPlane::iterateTransport(
     }
 
     // ---------------- room compute + downstream budgets
-    struct PendingDown
-    {
-        std::size_t tree;
-        topo::NodeId node;
-        std::size_t rack;
-        std::vector<std::uint8_t> frame;
-    };
-    std::vector<PendingDown> pending_down;
+    std::vector<PendingFrame> pending_down;
+    pending_down.reserve(edges_.size());
     for (std::size_t t = 0; t < system_.trees().size(); ++t) {
         if (!tree_live(t))
             continue;
         const auto edge_budgets =
-            room_.iterate(t, tree_metrics[t], root_budgets[t]);
+            room_.iterate(t, lastTreeMetrics_[t], root_budgets[t]);
         for (const auto &[node, budget] : edge_budgets) {
-            const std::size_t rack = edgeOwner_.at({t, node});
+            const std::size_t e = edgeIndexOf(t, node);
+            const std::size_t rack = edges_[e].rack;
             if (rackFailed_[rack] || rackDeclaredDead_[rack])
                 continue; // nobody home to receive it
             net::BudgetMsg msg;
@@ -945,11 +947,11 @@ DistributedControlPlane::iterateTransport(
                 {net::kRoomSender, epoch_, roomSeq_++}, msg);
             tp.send(room, static_cast<net::Transport::Endpoint>(rack),
                     frame);
-            pending_down.push_back({t, node, rack, std::move(frame)});
+            pending_down.push_back({e, rack, std::move(frame)});
         }
     }
 
-    std::set<std::pair<std::size_t, topo::NodeId>> applied;
+    std::vector<bool> applied(edges_.size(), false);
     const auto poll_racks = [&] {
         for (std::size_t r = 0; r < racks_.size(); ++r) {
             const auto frames =
@@ -970,18 +972,18 @@ DistributedControlPlane::iterateTransport(
                 const std::size_t t = frame->budget.tree;
                 const auto node =
                     static_cast<topo::NodeId>(frame->budget.edgeNode);
-                if (applied.count({t, node}))
+                const std::size_t e = edgeIndexOf(t, node);
+                if (e != kNoEdge && applied[e])
                     continue; // duplicate delivery
                 // Re-homed mid-period races are impossible (failover
                 // happens before budgets go out), so the owner check
                 // is a pure integrity assertion.
-                const auto owner = edgeOwner_.find({t, node});
-                if (owner == edgeOwner_.end() || owner->second != r) {
+                if (e == kNoEdge || edges_[e].rack != r) {
                     ++stats.orphanFrames;
                     continue;
                 }
                 racks_[r].applyBudget(t, node, frame->budget.budget);
-                applied.insert({t, node});
+                applied[e] = true;
             }
         }
     };
@@ -997,8 +999,8 @@ DistributedControlPlane::iterateTransport(
         tp.advanceTo(next);
         poll_racks();
         bool all_in = true;
-        for (const PendingDown &down : pending_down) {
-            if (applied.count({down.tree, down.node}))
+        for (const PendingFrame &down : pending_down) {
+            if (applied[down.edge])
                 continue;
             all_in = false;
             ++stats.retries;
@@ -1014,13 +1016,13 @@ DistributedControlPlane::iterateTransport(
 
     // §4.5 default budgets: a live rack whose edge saw no budget by the
     // deadline falls back to its Pcap_min floor.
-    for (const auto &[key, rack] : edgeOwner_) {
-        const auto [t, node] = key;
+    for (std::size_t e = 0; e < edges_.size(); ++e) {
+        const auto [t, node, rack] = edges_[e];
         if (!tree_live(t) || rackFailed_[rack]
             || rackDeclaredDead_[rack]) {
             continue;
         }
-        if (applied.count(key))
+        if (applied[e])
             continue;
         const Watts fallback = racks_[rack].defaultBudget(t, node);
         racks_[rack].applyBudget(t, node, fallback);
@@ -1128,20 +1130,22 @@ DistributedControlPlane::iterateSpoDirect(
     // entirely for the same reason.
     for (const auto &[t, nodes] : pinnedEdges(pins)) {
         ++stats.spoTreesAttempted;
-        auto base = lastTreeMetrics_[t];
+        // The direct round always commits, so the pinned summaries go
+        // straight into the room's view.
+        auto &base = lastTreeMetrics_[t];
         for (const topo::NodeId node : nodes) {
-            const std::size_t rack = edgeOwner_.at({t, node});
+            const std::size_t rack = edges_[edgeIndexOf(t, node)].rack;
             ++stats.spoSummaryMessages;
             base[node] = racks_[rack].computeMetrics(t, node);
         }
 
         const auto edge_budgets =
             room_.iterate(t, base, root_budgets[t]);
-        lastTreeMetrics_[t] = std::move(base);
 
         for (const auto &[node, budget] : edge_budgets) {
             ++stats.spoBudgetMessages;
-            racks_[edgeOwner_.at({t, node})].applyBudget(t, node, budget);
+            racks_[edges_[edgeIndexOf(t, node)].rack].applyBudget(
+                t, node, budget);
         }
         committed.insert(t);
         ++stats.spoCommittedTrees;
@@ -1188,21 +1192,15 @@ DistributedControlPlane::iterateSpoTransport(
     const auto affected = pinnedEdges(pins);
 
     // ---------------- upstream: pinned summaries from affected edges
-    struct PendingUp
-    {
-        std::size_t tree;
-        topo::NodeId node;
-        std::size_t rack;
-        std::vector<std::uint8_t> frame;
-    };
-    std::vector<PendingUp> pending_up;
-    std::set<std::pair<std::size_t, topo::NodeId>> unreachable;
+    std::vector<PendingFrame> pending_up;
+    std::vector<bool> unreachable(edges_.size(), false);
     for (const auto &[t, nodes] : affected) {
         ++stats.spoTreesAttempted;
         for (const topo::NodeId node : nodes) {
-            const std::size_t rack = edgeOwner_.at({t, node});
+            const std::size_t e = edgeIndexOf(t, node);
+            const std::size_t rack = edges_[e].rack;
             if (rackFailed_[rack] || rackDeclaredDead_[rack]) {
-                unreachable.insert({t, node});
+                unreachable[e] = true;
                 continue;
             }
             net::MetricsMsg msg;
@@ -1216,15 +1214,14 @@ DistributedControlPlane::iterateSpoTransport(
                 msg);
             tp.send(static_cast<net::Transport::Endpoint>(rack), room,
                     frame);
-            pending_up.push_back({t, node, rack, std::move(frame)});
+            pending_up.push_back({e, rack, std::move(frame)});
         }
     }
 
-    std::map<std::pair<std::size_t, topo::NodeId>, ctrl::NodeMetrics>
-        fresh;
+    std::vector<std::optional<ctrl::NodeMetrics>> fresh(edges_.size());
     const auto poll_room = [&] {
         for (const auto &bytes : tp.poll(room)) {
-            const auto frame = net::decodeFrame(bytes);
+            auto frame = net::decodeFrame(bytes);
             if (!frame) {
                 ++stats.corruptFrames;
                 continue;
@@ -1236,9 +1233,11 @@ DistributedControlPlane::iterateSpoTransport(
                 ++stats.orphanFrames;
                 continue;
             }
-            fresh[{frame->metrics.tree,
-                   static_cast<topo::NodeId>(frame->metrics.edgeNode)}] =
-                frame->metrics.metrics;
+            const std::size_t e = edgeIndexOf(
+                frame->metrics.tree,
+                static_cast<topo::NodeId>(frame->metrics.edgeNode));
+            if (e != kNoEdge)
+                fresh[e] = std::move(frame->metrics.metrics);
         }
     };
 
@@ -1252,8 +1251,8 @@ DistributedControlPlane::iterateSpoTransport(
         tp.advanceTo(next);
         poll_room();
         bool all_in = true;
-        for (const PendingUp &up : pending_up) {
-            if (fresh.count({up.tree, up.node}))
+        for (const PendingFrame &up : pending_up) {
+            if (fresh[up.edge])
                 continue;
             all_in = false;
             ++stats.spoRetries;
@@ -1269,17 +1268,18 @@ DistributedControlPlane::iterateSpoTransport(
     // A tree may only be re-budgeted from a complete second-pass view:
     // any missing pinned summary aborts the tree before a single budget
     // goes out, so it keeps its first-pass budgets wholesale.
-    std::set<std::size_t> gather_ok;
+    std::vector<std::size_t> gather_ok;
     for (const auto &[t, nodes] : affected) {
         bool ok = true;
         for (const topo::NodeId node : nodes) {
-            if (unreachable.count({t, node}) || !fresh.count({t, node})) {
+            const std::size_t e = edgeIndexOf(t, node);
+            if (unreachable[e] || !fresh[e]) {
                 ok = false;
                 break;
             }
         }
         if (ok) {
-            gather_ok.insert(t);
+            gather_ok.push_back(t);
         } else {
             ++stats.spoFallbackTrees;
             stats.degraded.push_back({DegradedKind::SpoFallback, t,
@@ -1307,26 +1307,25 @@ DistributedControlPlane::iterateSpoTransport(
     }
 
     // ---------------- room re-compute + downstream second-pass budgets
-    struct PendingDown
-    {
-        std::size_t tree;
-        topo::NodeId node;
-        std::size_t rack;
-        std::vector<std::uint8_t> frame;
-    };
-    std::vector<PendingDown> pending_down;
-    std::map<std::size_t, std::set<topo::NodeId>> expect;
-    std::map<std::size_t, std::map<topo::NodeId, ctrl::NodeMetrics>>
-        new_base;
-    for (const std::size_t t : gather_ok) {
-        auto base = lastTreeMetrics_[t];
+    // Swap the pinned summaries into the room's view for the compute
+    // and straight back out: the first-pass view stays intact until the
+    // tree commits.
+    const auto swap_pinned = [&](std::size_t t) {
+        auto &base = lastTreeMetrics_[t];
         for (const topo::NodeId node : affected.at(t))
-            base[node] = fresh.at({t, node});
-        const auto edge_budgets = room_.iterate(t, base, root_budgets[t]);
-        new_base[t] = std::move(base);
-        expect[t] = {};
+            std::swap(base[node], *fresh[edgeIndexOf(t, node)]);
+    };
+    std::vector<PendingFrame> pending_down;
+    /** Per tree: the dense edges owed a second-pass budget. */
+    std::vector<std::vector<std::size_t>> expect(system_.trees().size());
+    for (const std::size_t t : gather_ok) {
+        swap_pinned(t);
+        const auto edge_budgets =
+            room_.iterate(t, lastTreeMetrics_[t], root_budgets[t]);
+        swap_pinned(t);
         for (const auto &[node, budget] : edge_budgets) {
-            const std::size_t rack = edgeOwner_.at({t, node});
+            const std::size_t e = edgeIndexOf(t, node);
+            const std::size_t rack = edges_[e].rack;
             if (rackFailed_[rack] || rackDeclaredDead_[rack])
                 continue; // nobody home to receive it
             net::BudgetMsg msg;
@@ -1338,14 +1337,14 @@ DistributedControlPlane::iterateSpoTransport(
                 {net::kRoomSender, epoch_, roomSeq_++}, msg);
             tp.send(room, static_cast<net::Transport::Endpoint>(rack),
                     frame);
-            expect[t].insert(node);
-            pending_down.push_back({t, node, rack, std::move(frame)});
+            expect[t].push_back(e);
+            pending_down.push_back({e, rack, std::move(frame)});
         }
     }
 
     // Racks buffer second-pass budgets without applying them, so an
     // incomplete tree can roll back without ever mixing the passes.
-    std::map<std::pair<std::size_t, topo::NodeId>, Watts> buffered;
+    std::vector<std::optional<Watts>> buffered(edges_.size());
     const auto poll_racks = [&] {
         for (std::size_t r = 0; r < racks_.size(); ++r) {
             const auto frames =
@@ -1363,15 +1362,14 @@ DistributedControlPlane::iterateSpoTransport(
                     ++stats.orphanFrames;
                     continue;
                 }
-                const std::size_t t = frame->budget.tree;
-                const auto node =
-                    static_cast<topo::NodeId>(frame->budget.edgeNode);
-                const auto owner = edgeOwner_.find({t, node});
-                if (owner == edgeOwner_.end() || owner->second != r) {
+                const std::size_t e = edgeIndexOf(
+                    frame->budget.tree,
+                    static_cast<topo::NodeId>(frame->budget.edgeNode));
+                if (e == kNoEdge || edges_[e].rack != r) {
                     ++stats.orphanFrames;
                     continue;
                 }
-                buffered[{t, node}] = frame->budget.budget;
+                buffered[e] = frame->budget.budget;
             }
         }
     };
@@ -1387,8 +1385,8 @@ DistributedControlPlane::iterateSpoTransport(
         tp.advanceTo(next);
         poll_racks();
         bool all_in = true;
-        for (const PendingDown &down : pending_down) {
-            if (buffered.count({down.tree, down.node}))
+        for (const PendingFrame &down : pending_down) {
+            if (buffered[down.edge])
                 continue;
             all_in = false;
             ++stats.spoRetries;
@@ -1406,8 +1404,8 @@ DistributedControlPlane::iterateSpoTransport(
     // budget, or none does and the buffers are discarded.
     for (const std::size_t t : gather_ok) {
         bool complete = true;
-        for (const topo::NodeId node : expect[t]) {
-            if (!buffered.count({t, node})) {
+        for (const std::size_t e : expect[t]) {
+            if (!buffered[e]) {
                 complete = false;
                 break;
             }
@@ -1418,11 +1416,13 @@ DistributedControlPlane::iterateSpoTransport(
                                       topo::kNoNode, 0, 2.0});
             continue;
         }
-        for (const topo::NodeId node : expect[t]) {
-            racks_[edgeOwner_.at({t, node})].applyBudget(
-                t, node, buffered.at({t, node}));
+        for (const std::size_t e : expect[t]) {
+            racks_[edges_[e].rack].applyBudget(t, edges_[e].node,
+                                               *buffered[e]);
         }
-        lastTreeMetrics_[t] = std::move(new_base[t]);
+        auto &base = lastTreeMetrics_[t];
+        for (const topo::NodeId node : affected.at(t))
+            base[node] = std::move(*fresh[edgeIndexOf(t, node)]);
         committed.insert(t);
         ++stats.spoCommittedTrees;
     }

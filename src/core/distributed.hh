@@ -291,19 +291,23 @@ class RoomWorker
     ctrl::TreePolicy policy_;
     /** Fragment tops per tree; empty = every tree's root. */
     std::vector<topo::NodeId> tops_;
-    /** Interior summaries cached per tree by gatherTop(). */
-    std::vector<std::map<topo::NodeId, ctrl::NodeMetrics>> lastCache_;
+    /**
+     * Per tree: the children's summaries of every interior fragment
+     * node, as the last gatherTop() merged them — budgetDown()'s input.
+     * Rewritten in place each period, so a steady period allocates no
+     * new entries.
+     */
+    std::vector<std::map<topo::NodeId, std::vector<ctrl::NodeMetrics>>>
+        lastChildren_;
 
     topo::NodeId topOf(std::size_t tree) const;
 
-    ctrl::NodeMetrics
-    gatherAbove(std::size_t tree, topo::NodeId node,
-                const std::map<topo::NodeId, ctrl::NodeMetrics> &edges,
-                std::map<topo::NodeId, ctrl::NodeMetrics> &cache);
+    void gatherAbove(std::size_t tree, topo::NodeId node,
+                     const std::map<topo::NodeId, ctrl::NodeMetrics> &edges,
+                     ctrl::NodeMetrics &out);
 
     void budgetAbove(std::size_t tree, topo::NodeId node, Watts budget,
-                     const std::map<topo::NodeId, ctrl::NodeMetrics> &cache,
-                     std::map<topo::NodeId, Watts> &edge_budgets);
+                     std::map<topo::NodeId, Watts> &edge_budgets) const;
 };
 
 /**
@@ -448,9 +452,25 @@ class DistributedControlPlane
     /** (server, supply) -> owning rack worker. */
     std::map<std::pair<std::int32_t, std::int32_t>, std::size_t>
         leafToRack_;
-    /** (tree, edge node) -> owning rack worker. */
-    std::map<std::pair<std::size_t, topo::NodeId>, std::size_t>
-        edgeOwner_;
+
+    /** One edge (leaf-parent) controller and its current owner. */
+    struct PlaneEdge
+    {
+        std::size_t tree = 0;
+        topo::NodeId node = topo::kNoNode;
+        /** Owning rack worker (moves on failover). */
+        std::size_t rack = 0;
+    };
+    /**
+     * Every edge controller in (tree, node) order, built once by
+     * buildWorkers(). An edge's position is its dense index: the
+     * per-round protocol state is kept in vectors indexed by it.
+     */
+    std::vector<PlaneEdge> edges_;
+    /** Per tree: topology node id -> dense edge index (kNoEdge when
+     *  the node is not an edge). */
+    std::vector<std::vector<std::size_t>> edgeIndex_;
+    static constexpr std::size_t kNoEdge = static_cast<std::size_t>(-1);
 
     // -------- message-plane state
     net::Transport *transport_ = nullptr;
@@ -469,7 +489,10 @@ class DistributedControlPlane
      * Edge metrics the room used in the last iterate() (per tree), the
      * base the SPO round overlays pinned summaries onto. Never fed from
      * pinned summaries, and distinct from metricCache_ so the SPO round
-     * cannot pollute the §4.5 stale-metric fallback.
+     * cannot pollute the §4.5 stale-metric fallback. Holds an entry for
+     * every edge, rewritten in place each period; an edge that
+     * contributed nothing holds empty metrics, which the room reads
+     * exactly as it reads an absent edge.
      */
     std::vector<std::map<topo::NodeId, ctrl::NodeMetrics>>
         lastTreeMetrics_;
@@ -514,6 +537,9 @@ class DistributedControlPlane
     partition(const topo::PowerSystem &system);
 
     void buildWorkers();
+    /** Dense index of edge (@p tree, @p node); kNoEdge when the pair
+     *  names no edge (e.g. a hostile or corrupt frame's fields). */
+    std::size_t edgeIndexOf(std::size_t tree, topo::NodeId node) const;
     net::Transport::Endpoint roomEndpoint() const;
     MessageStats iterateDirect(const std::vector<Watts> &root_budgets);
     MessageStats iterateTransport(const std::vector<Watts> &root_budgets);

@@ -53,28 +53,30 @@ DistributedControlPlane::iterateDirectDeep(
     const auto iterate_span = tracer_
                                   ? tracer_->begin("iterate")
                                   : telemetry::PeriodTracer::kNoSpan;
-    lastTreeMetrics_.assign(system_.trees().size(), {});
     const std::uint32_t tiers = plan_.tiers();
 
     for (std::size_t t = 0; t < system_.trees().size(); ++t) {
-        if (system_.feedFailed(system_.tree(t).feed()))
+        if (system_.feedFailed(system_.tree(t).feed())) {
+            for (auto &[node, m] : lastTreeMetrics_[t])
+                m.clear();
             continue;
+        }
         const auto tree_span =
             tracer_ ? tracer_->begin("tree", iterate_span)
                     : telemetry::PeriodTracer::kNoSpan;
 
         // Upstream: summaries per station, built tier by tier.
         std::map<topo::NodeId, ctrl::NodeMetrics> summary;
-        for (const auto &[key, rack] : edgeOwner_) {
-            if (key.first != t)
+        for (const PlaneEdge &edge : edges_) {
+            if (edge.tree != t)
                 continue;
             ctrl::NodeMetrics m =
-                racks_[rack].computeMetrics(t, key.second);
+                racks_[edge.rack].computeMetrics(t, edge.node);
             ++stats.metricsMessages;
             stats.metricClassesSent += m.classes().size();
-            summary.emplace(key.second, std::move(m));
+            lastTreeMetrics_[t][edge.node] = m;
+            summary.emplace(edge.node, std::move(m));
         }
-        lastTreeMetrics_[t] = summary;
 
         for (std::uint32_t tier = 1; tier + 1 < tiers; ++tier) {
             for (const std::uint32_t ep : plan_.tierEndpoints(tier)) {
@@ -130,15 +132,15 @@ DistributedControlPlane::iterateDirectDeep(
         }
 
         std::size_t edges = 0;
-        for (const auto &[key, rack] : edgeOwner_) {
-            if (key.first != t)
+        for (const PlaneEdge &edge : edges_) {
+            if (edge.tree != t)
                 continue;
-            const auto got = station_budget.find(key.second);
+            const auto got = station_budget.find(edge.node);
             if (got == station_budget.end())
                 continue;
             ++stats.budgetMessages;
             ++edges;
-            racks_[rack].applyBudget(t, key.second, got->second);
+            racks_[edge.rack].applyBudget(t, edge.node, got->second);
         }
         if (tracer_) {
             tracer_->num(tree_span, "tree", static_cast<double>(t));
@@ -534,9 +536,8 @@ DistributedControlPlane::iterateTransportDeep(
             applied.insert(key);
         }
     }
-    for (const auto &[key, rack] : edgeOwner_) {
-        const auto [t, node] = key;
-        if (!tree_live(t) || applied.count(key))
+    for (const auto &[t, node, rack] : edges_) {
+        if (!tree_live(t) || applied.count({t, node}))
             continue;
         const Watts fallback = racks_[rack].defaultBudget(t, node);
         racks_[rack].applyBudget(t, node, fallback);

@@ -71,6 +71,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "control/metrics.hh"
@@ -401,13 +402,17 @@ std::vector<std::uint8_t>
 encodeMembershipAck(const FrameMeta &meta, const MembershipAckMsg &msg);
 
 /**
- * Decode one frame. Returns nullopt on any malformation (short buffer,
- * bad magic/version/type, length mismatch, CRC failure, ill-formed
+ * Decode one frame from a byte range (read in place, never copied).
+ * Returns nullopt on any malformation (short buffer, bad
+ * magic/version/type, length mismatch, CRC failure, ill-formed
  * payload); never throws or crashes on arbitrary bytes.
  */
+std::optional<Frame> decodeFrame(std::span<const std::uint8_t> bytes);
+
+/** decodeFrame() over a whole byte vector. */
 std::optional<Frame> decodeFrame(const std::vector<std::uint8_t> &bytes);
 
-/** CRC-32 (IEEE 802.3, reflected) of a byte range. */
+/** CRC-32 (IEEE 802.3, reflected; slicing-by-8) of a byte range. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size);
 
 } // namespace capmaestro::net

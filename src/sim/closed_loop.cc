@@ -206,29 +206,44 @@ ClosedLoopSim::nodeLoad(std::size_t tree, topo::NodeId node) const
 }
 
 void
-ClosedLoopSim::recordState()
+ClosedLoopSim::resolveSeries()
 {
+    // Called on the first recordState(), which records a point in
+    // every one of these series: the recorder holds no series earlier
+    // than it did when each tick looked its names up.
     for (std::size_t i = 0; i < plants_.size(); ++i) {
-        const auto &plant = plants_[i];
-        recorder_.record(serverSeries(i, "power"), now_,
-                         plant.server->actualAc());
-        recorder_.record(serverSeries(i, "throughput"), now_,
-                         plant.server->normalizedThroughput());
-        recorder_.record(serverSeries(i, "dcCap"), now_,
-                         plant.nm->appliedDcCap());
-        recorder_.record(serverSeries(i, "throttle"), now_,
-                         plant.server->throttleLevel());
+        Plant &plant = plants_[i];
+        for (const char *what : {"power", "throughput", "dcCap", "throttle"})
+            plant.series.push_back(&recorder_.points(serverSeries(i, what)));
         for (std::size_t s = 0; s < plant.server->supplyCount(); ++s) {
-            recorder_.record(supplySeries(i, s, "power"), now_,
-                             plant.server->supplyAc(s));
+            plant.series.push_back(
+                &recorder_.points(supplySeries(i, s, "power")));
         }
     }
-    for (auto &bw : breakers_) {
+    for (BreakerWatch &bw : breakers_) {
         const auto &tree = system_->tree(bw.tree);
-        recorder_.record(tree.name() + "." + tree.node(bw.node).name
-                             + ".power",
-                         now_, nodeLoad(bw.tree, bw.node));
+        bw.series = &recorder_.points(
+            tree.name() + "." + tree.node(bw.node).name + ".power");
     }
+    seriesResolved_ = true;
+}
+
+void
+ClosedLoopSim::recordState()
+{
+    if (!seriesResolved_)
+        resolveSeries();
+    for (const Plant &plant : plants_) {
+        const auto &series = plant.series;
+        series[0]->push_back({now_, plant.server->actualAc()});
+        series[1]->push_back({now_, plant.server->normalizedThroughput()});
+        series[2]->push_back({now_, plant.nm->appliedDcCap()});
+        series[3]->push_back({now_, plant.server->throttleLevel()});
+        for (std::size_t s = 0; s < plant.server->supplyCount(); ++s)
+            series[4 + s]->push_back({now_, plant.server->supplyAc(s)});
+    }
+    for (const BreakerWatch &bw : breakers_)
+        bw.series->push_back({now_, nodeLoad(bw.tree, bw.node)});
 }
 
 void

@@ -198,6 +198,10 @@ class ClosedLoopSim
         std::unique_ptr<dev::NodeManager> nm;
         std::unique_ptr<dev::SensorEmulator> sensors;
         std::unique_ptr<dev::Workload> workload;
+        /** Recorded series, resolved once by resolveSeries(): power,
+         *  throughput, dcCap, throttle, then one power series per
+         *  supply. */
+        std::vector<std::vector<stats::SeriesPoint> *> series;
     };
 
     /** Trip integrators for every rated interior node, per tree. */
@@ -207,6 +211,9 @@ class ClosedLoopSim
         topo::NodeId node;
         topo::TripIntegrator integrator;
         bool overloaded = false;
+        /** Recorded load series ("<tree>.<node>.power"), resolved
+         *  once by resolveSeries(). */
+        std::vector<stats::SeriesPoint> *series = nullptr;
     };
 
     std::unique_ptr<topo::PowerSystem> system_;
@@ -225,9 +232,12 @@ class ClosedLoopSim
     std::unique_ptr<TrafficDriver> traffic_;
     /** Scratch utilization vector for the traffic-driver path. */
     std::vector<Fraction> trafficUtil_;
+    /** Whether resolveSeries() has run. */
+    bool seriesResolved_ = false;
 
     void tick();
     void controlPeriodTick();
+    void resolveSeries();
     void recordState();
     Watts nodeLoad(std::size_t tree, topo::NodeId node) const;
 };

@@ -17,6 +17,12 @@ TimeSeriesRecorder::record(const std::string &name, Seconds time,
     series_[name].push_back({time, value});
 }
 
+std::vector<SeriesPoint> &
+TimeSeriesRecorder::points(const std::string &name)
+{
+    return series_[name];
+}
+
 const std::vector<SeriesPoint> &
 TimeSeriesRecorder::series(const std::string &name) const
 {

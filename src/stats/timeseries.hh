@@ -36,6 +36,14 @@ class TimeSeriesRecorder
     /** All points of one series (empty when the name is unknown). */
     const std::vector<SeriesPoint> &series(const std::string &name) const;
 
+    /**
+     * The point vector of series @p name, created empty when unknown,
+     * for a caller that records the same series every tick: appending
+     * to it is record() without the name lookup. The reference stays
+     * valid until clear().
+     */
+    std::vector<SeriesPoint> &points(const std::string &name);
+
     /** Names of all recorded series, sorted. */
     std::vector<std::string> names() const;
 

@@ -25,7 +25,13 @@ void
 FleetHealthRegistry::report(const std::string &name, UnitHealth health,
                             std::uint32_t epoch)
 {
-    Unit &unit = units_[name];
+    const auto [it, added] = units_.try_emplace(name);
+    Unit &unit = it->second;
+    // Keep the per-state counts current: a new unit enters its state,
+    // a known one moves from its old state to the new one.
+    if (!added)
+        --counts_[static_cast<std::size_t>(unit.health)];
+    ++counts_[static_cast<std::size_t>(health)];
     unit.health = health;
     unit.lastEpoch = epoch;
     if (health == UnitHealth::Live)
@@ -38,10 +44,7 @@ FleetHealthRegistry::report(const std::string &name, UnitHealth health,
 std::size_t
 FleetHealthRegistry::countOf(UnitHealth health) const
 {
-    return static_cast<std::size_t>(std::count_if(
-        units_.begin(), units_.end(), [health](const auto &kv) {
-            return kv.second.health == health;
-        }));
+    return counts_[static_cast<std::size_t>(health)];
 }
 
 double

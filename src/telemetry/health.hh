@@ -30,6 +30,7 @@
 #ifndef CAPMAESTRO_TELEMETRY_HEALTH_HH
 #define CAPMAESTRO_TELEMETRY_HEALTH_HH
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -80,10 +81,10 @@ class FleetHealthRegistry
     /** Number of units ever reported. */
     std::size_t unitCount() const { return units_.size(); }
 
-    /** Units currently in state @p health. */
+    /** Units currently in state @p health (O(1): kept by report()). */
     std::size_t countOf(UnitHealth health) const;
 
-    /** Fraction of units not Live (0 when no units). */
+    /** Fraction of units not Live (0 when no units). O(1). */
     double degradedFraction() const;
 
     /** The unit map (name -> state), for tests and renderers. */
@@ -107,6 +108,9 @@ class FleetHealthRegistry
     void publish();
 
     std::map<std::string, Unit> units_;
+    /** Units per state, indexed by UnitHealth; report() keeps them
+     *  equal to a recount of units_, so publish() is O(1). */
+    std::array<std::size_t, 4> counts_{};
     Gauge liveGauge_;
     Gauge staleGauge_;
     Gauge lostGauge_;

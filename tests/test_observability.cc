@@ -287,6 +287,57 @@ TEST(FleetHealth, RollupCountsStatesAndDegradedFraction)
     EXPECT_TRUE(saw_live);
 }
 
+TEST(FleetHealth, KeptCountsEqualARecountAfterRandomTransitions)
+{
+    // report() keeps the per-state counts incrementally; after a long
+    // run of first sightings, repeats and state changes they must
+    // equal a brute-force recount of units().
+    telemetry::Registry registry;
+    telemetry::FleetHealthRegistry fleet;
+    fleet.setTelemetry(&registry, {{"role", "room"}});
+    const telemetry::UnitHealth states[] = {
+        telemetry::UnitHealth::Live, telemetry::UnitHealth::Stale,
+        telemetry::UnitHealth::Lost, telemetry::UnitHealth::Rehoming};
+    std::uint64_t lcg = 12345;
+    const auto next = [&lcg](std::uint64_t bound) {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return (lcg >> 33) % bound;
+    };
+    for (std::uint32_t epoch = 1; epoch <= 2000; ++epoch) {
+        fleet.report("unit" + std::to_string(next(64)), states[next(4)],
+                     epoch);
+        if (epoch % 97 != 0)
+            continue;
+        std::size_t total = 0;
+        for (const telemetry::UnitHealth health : states) {
+            std::size_t recount = 0;
+            for (const auto &[name, unit] : fleet.units())
+                recount += unit.health == health ? 1 : 0;
+            EXPECT_EQ(fleet.countOf(health), recount)
+                << telemetry::unitHealthName(health) << " at epoch "
+                << epoch;
+            total += recount;
+        }
+        EXPECT_EQ(total, fleet.unitCount());
+        const double live = static_cast<double>(
+            fleet.countOf(telemetry::UnitHealth::Live));
+        EXPECT_DOUBLE_EQ(fleet.degradedFraction(),
+                         1.0 - live / static_cast<double>(total));
+    }
+    // The gauges carry the same counts.
+    for (const auto &series : registry.snapshot()) {
+        if (series.name != "capmaestro_fleet_units")
+            continue;
+        for (const telemetry::UnitHealth health : states) {
+            if (labelValue(series.labels, "state")
+                == telemetry::unitHealthName(health)) {
+                EXPECT_DOUBLE_EQ(series.value, static_cast<double>(
+                                                   fleet.countOf(health)));
+            }
+        }
+    }
+}
+
 // ------------------------------------------------- safety auditor
 
 TEST(SafetyAuditor, FlagsOverdrawAndKeepsTheWorstSubject)

@@ -217,6 +217,29 @@ TEST(TimeSeries, CsvUnionOfTimestamps)
     EXPECT_NE(s.find("1,,5"), std::string::npos);
 }
 
+TEST(TimeSeries, PointsHandleAppendsLikeRecord)
+{
+    // Appending through a held points() reference is record() without
+    // the lookup: same series, same CSV, and the reference survives
+    // later series being added.
+    cs::TimeSeriesRecorder by_name;
+    cs::TimeSeriesRecorder by_handle;
+    auto &b = by_handle.points("b");
+    for (int t = 0; t < 3; ++t) {
+        by_name.record("b", t, 10.0 + t);
+        by_name.record("a" + std::to_string(t), t, 1.0);
+        b.push_back({t, 10.0 + t});
+        by_handle.record("a" + std::to_string(t), t, 1.0);
+    }
+    std::ostringstream want;
+    std::ostringstream got;
+    by_name.printCsv(want);
+    by_handle.printCsv(got);
+    EXPECT_EQ(got.str(), want.str());
+    EXPECT_EQ(&by_handle.points("b"), &b);
+    EXPECT_DOUBLE_EQ(by_handle.last("b"), 12.0);
+}
+
 TEST(TimeSeries, NamesSortedAndClear)
 {
     cs::TimeSeriesRecorder rec;

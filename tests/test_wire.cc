@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "net/wire.hh"
 #include "util/random.hh"
@@ -360,6 +362,137 @@ TEST(Wire, Crc32MatchesKnownVector)
     const std::uint8_t data[] = {'1', '2', '3', '4', '5',
                                  '6', '7', '8', '9'};
     EXPECT_EQ(net::crc32(data, sizeof(data)), 0xCBF43926u);
+}
+
+namespace {
+
+/** Bitwise CRC-32 (reflected 0xEDB88320, one bit per step): the
+ *  definition the table-driven net::crc32 must reproduce. */
+std::uint32_t
+referenceCrc32(const std::uint8_t *data, std::size_t size)
+{
+    std::uint32_t crc = 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        crc ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            crc = (crc >> 1) ^ (0xEDB88320u & (~(crc & 1u) + 1u));
+    }
+    return ~crc;
+}
+
+} // namespace
+
+TEST(Wire, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset)
+{
+    // Every length 0..256 from every start offset 0..7 covers the
+    // eight-byte body, every tail length, and misaligned starts.
+    for (const std::uint64_t seed : {1u, 2019u, 0xCA9Eu}) {
+        util::Rng rng(seed);
+        std::vector<std::uint8_t> buf(256 + 8);
+        for (auto &b : buf)
+            b = static_cast<std::uint8_t>(rng.uniformInt(0, 255));
+        for (std::size_t offset = 0; offset < 8; ++offset) {
+            for (std::size_t len = 0; len <= 256; ++len) {
+                ASSERT_EQ(net::crc32(buf.data() + offset, len),
+                          referenceCrc32(buf.data() + offset, len))
+                    << "seed " << seed << " offset " << offset << " len "
+                    << len;
+            }
+        }
+    }
+}
+
+TEST(Wire, MetricsFrameGoldenBytes)
+{
+    // The exact v6 encoding of a 2-class Metrics frame: any encoder
+    // change that moves a field, a length or the CRC shows up here.
+    MetricsMsg msg;
+    msg.tree = 3;
+    msg.edgeNode = 17;
+    msg.metrics.accumulate(1, 270.5, 0.1 + 0.2, 412.75);
+    msg.metrics.accumulate(0, 135.0, -0.0, 1e-300);
+    msg.metrics.setConstraint(1234.000000001);
+    const std::vector<std::uint8_t> want = {
+        // magic, version 6, type Metrics, sender 5
+        0x9E, 0xCA, 0x06, 0x01, 0x05, 0x00,
+        // epoch 0x01020304, seq 9
+        0x04, 0x03, 0x02, 0x01, 0x09, 0x00, 0x00, 0x00,
+        // payload length 72, no trace context
+        0x48, 0x00, 0x00,
+        // tree 3, edge node 17, constraint
+        0x03, 0x00, 0x11, 0x00, 0x00, 0x00,
+        0x2E, 0x11, 0x00, 0x00, 0x00, 0x48, 0x93, 0x40,
+        // class count 2; priority 1: capMin, demand, request
+        0x02, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xE8, 0x70, 0x40,
+        0x34, 0x33, 0x33, 0x33, 0x33, 0x33, 0xD3, 0x3F,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xCC, 0x79, 0x40,
+        // priority 0: capMin, demand (-0.0), request (1e-300)
+        0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xE0, 0x60, 0x40,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
+        0x59, 0xF3, 0xF8, 0xC2, 0x1F, 0x6E, 0xA5, 0x01,
+        // CRC-32 over the 89 bytes above
+        0x5A, 0xB9, 0x1D, 0x3C};
+    EXPECT_EQ(net::encodeMetrics({5, 0x01020304u, 9}, msg), want);
+    const auto frame = net::decodeFrame(want);
+    ASSERT_TRUE(frame.has_value());
+    expectBitExact(frame->metrics.metrics, msg.metrics);
+}
+
+TEST(Wire, BudgetFrameWithTraceContextGoldenBytes)
+{
+    BudgetMsg msg;
+    msg.tree = 2;
+    msg.edgeNode = 0x000A0B0Cu;
+    msg.budget = 1234.5;
+    FrameMeta meta{net::kRoomSender, 77, 1000};
+    net::TraceContext ctx;
+    ctx.traceId = 0xBEEF;
+    ctx.originTier = 2;
+    ctx.sendMs = 1723111845123.000244140625;
+    meta.trace = ctx;
+    const std::vector<std::uint8_t> want = {
+        // magic, version 6, type Budget, sender kRoomSender
+        0x9E, 0xCA, 0x06, 0x02, 0xFF, 0xFF,
+        // epoch 77, seq 1000
+        0x4D, 0x00, 0x00, 0x00, 0xE8, 0x03, 0x00, 0x00,
+        // payload length 14, trace context length 11
+        0x0E, 0x00, 0x0B,
+        // trace id 0xBEEF, origin tier 2, send time
+        0xEF, 0xBE, 0x02,
+        0x01, 0x30, 0xD0, 0x82, 0x17, 0x13, 0x79, 0x42,
+        // tree 2, edge node 0x000A0B0C, budget 1234.5
+        0x02, 0x00, 0x0C, 0x0B, 0x0A, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x4A, 0x93, 0x40,
+        // CRC-32 over the 42 bytes above
+        0x6A, 0xC5, 0xDB, 0x19};
+    EXPECT_EQ(net::encodeBudget(meta, msg), want);
+    const auto frame = net::decodeFrame(want);
+    ASSERT_TRUE(frame.has_value());
+    ASSERT_TRUE(frame->trace.has_value());
+    EXPECT_EQ(frame->trace->traceId, 0xBEEF);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(frame->budget.budget),
+              std::bit_cast<std::uint64_t>(1234.5));
+}
+
+TEST(Wire, SpanDecodeReadsAFrameInsideALargerBuffer)
+{
+    // The span form decodes a frame where it lies, e.g. inside a
+    // receive buffer, without copying it out first.
+    const auto frame = net::encodeMetrics({1, 2, 3}, sampleMetrics());
+    std::vector<std::uint8_t> buffer(5, 0xAA);
+    buffer.insert(buffer.end(), frame.begin(), frame.end());
+    buffer.resize(buffer.size() + 7, 0xBB);
+    const auto decoded = net::decodeFrame(
+        std::span<const std::uint8_t>(buffer).subspan(5, frame.size()));
+    ASSERT_TRUE(decoded.has_value());
+    expectBitExact(decoded->metrics.metrics, sampleMetrics().metrics);
+    // One byte short or long of the frame is a length mismatch.
+    EXPECT_FALSE(net::decodeFrame(
+        std::span<const std::uint8_t>(buffer).subspan(5, frame.size() - 1)));
+    EXPECT_FALSE(net::decodeFrame(
+        std::span<const std::uint8_t>(buffer).subspan(5, frame.size() + 1)));
 }
 
 namespace {
