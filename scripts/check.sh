@@ -144,7 +144,8 @@ echo "== sanitizers: ASan+UBSan run of the workload tier =="
 # placement policies, SLO accounting, the closed-loop priority path,
 # and the bench_workload smoke sweep. Its Sim/UDP equivalence test
 # skips itself under CAPMAESTRO_NO_NET=1 like the socket tiers.
-cmake --build build-asan -j --target test_workload bench_workload
+cmake --build build-asan -j --target test_workload bench_workload \
+    capmaestro_gen
 (cd build-asan && ctest -L workload --output-on-failure -j)
 
 echo

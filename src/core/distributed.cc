@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
+#include <tuple>
 
 #include "net/wire.hh"
 #include "util/logging.hh"
@@ -293,19 +293,6 @@ RoomWorker::iterate(std::size_t tree,
 
 // --------------------------------------------------- DistributedControlPlane
 
-namespace {
-
-/** A frame sent for one edge, kept for retransmission until answered. */
-struct PendingFrame
-{
-    /** Dense edge index. */
-    std::size_t edge;
-    std::size_t rack;
-    std::vector<std::uint8_t> frame;
-};
-
-} // namespace
-
 std::vector<std::map<topo::NodeId, std::size_t>>
 DistributedControlPlane::partition(const topo::PowerSystem &system)
 {
@@ -367,10 +354,7 @@ DistributedControlPlane::DistributedControlPlane(
     const topo::PowerSystem &system, ctrl::TreePolicy policy,
     std::vector<std::uint32_t> agg_levels)
     : system_(system), policy_(policy),
-      plan_(TreePlan::build(system, agg_levels)),
-      // The root fragment's boundary: its child stations — which with
-      // an empty plan are exactly the edge node sets of old.
-      room_(system, plan_.boundariesOf(plan_.rootEndpoint()), policy)
+      plan_(TreePlan::build(system, agg_levels))
 {
     buildWorkers();
 }
@@ -380,9 +364,8 @@ DistributedControlPlane::DistributedControlPlane(
     net::Transport &transport, net::ProtocolConfig protocol,
     std::vector<std::uint32_t> agg_levels)
     : system_(system), policy_(policy),
-      plan_(TreePlan::build(system, agg_levels)),
-      room_(system, plan_.boundariesOf(plan_.rootEndpoint()), policy),
-      transport_(&transport), protocol_(protocol)
+      plan_(TreePlan::build(system, agg_levels)), transport_(&transport),
+      protocol_(protocol)
 {
     buildWorkers();
 }
@@ -390,66 +373,87 @@ DistributedControlPlane::DistributedControlPlane(
 void
 DistributedControlPlane::buildWorkers()
 {
-    const auto owners = partition(system_);
-    std::size_t rack_count = 0;
-    for (const auto &per_tree : owners) {
-        for (const auto &[node, rack] : per_tree)
-            rack_count = std::max(rack_count, rack + 1);
-    }
-
-    racks_.reserve(rack_count);
-    for (std::size_t r = 0; r < rack_count; ++r)
+    // Leaf workers own the edges of the partitioning rule (the plan's
+    // leaf stations), in tree order; every worker below the root
+    // reports one hop per tree it holds a fragment of.
+    racks_.reserve(plan_.leafWorkers);
+    for (std::size_t r = 0; r < plan_.leafWorkers; ++r)
         racks_.emplace_back(system_, policy_);
-
-    // owners[t] is ordered by node id, so edges_ comes out in (tree,
-    // node) order — the order every per-edge loop walks.
-    lastTreeMetrics_.assign(system_.trees().size(), {});
-    edgeIndex_.resize(owners.size());
-    for (std::size_t t = 0; t < owners.size(); ++t) {
-        edgeIndex_[t].assign(system_.tree(t).size(), kNoEdge);
-        for (const auto &[node, rack] : owners[t]) {
-            racks_[rack].addEdge(t, node);
-            edgeIndex_[t][static_cast<std::size_t>(node)] = edges_.size();
-            edges_.push_back({t, node, rack});
-            lastTreeMetrics_[t][node] = {};
+    for (const TreePlan::Worker &w : plan_.workers) {
+        if (w.isRoot())
+            continue;
+        for (const auto &[t, node] : w.stations) {
+            hops_.push_back({t, node, w.endpoint, w.parent});
+            if (!w.isLeaf())
+                continue;
+            racks_[w.endpoint].addEdge(t, node);
             for (const topo::NodeId c :
                  system_.tree(t).node(node).children) {
                 const auto &ref = *system_.tree(t).node(c).supplyRef;
-                leafToRack_[{ref.server, ref.supply}] = rack;
+                leafToRack_[{ref.server, ref.supply}] = w.endpoint;
             }
         }
     }
+    std::sort(hops_.begin(), hops_.end(), [](const Hop &a, const Hop &b) {
+        return std::tie(a.parent, a.tree, a.node)
+               < std::tie(b.parent, b.tree, b.node);
+    });
 
-    rackSeq_.assign(rack_count, 0);
-    rackFailed_.assign(rack_count, false);
-    rackDeclaredDead_.assign(rack_count, false);
-    missedHeartbeats_.assign(rack_count, 0);
-
-    // Aggregator fragments for deep plans: one RoomWorker per internal
-    // non-root worker, cut at its stations and its children's.
-    for (std::uint32_t ep = static_cast<std::uint32_t>(plan_.leafWorkers);
-         ep < plan_.rootEndpoint(); ++ep) {
-        aggs_.emplace_back(system_, plan_.topsOf(ep),
-                           plan_.boundariesOf(ep), policy_);
+    lastTreeMetrics_.assign(system_.trees().size(), {});
+    hopIndex_.resize(system_.trees().size());
+    for (std::size_t t = 0; t < hopIndex_.size(); ++t)
+        hopIndex_[t].assign(system_.tree(t).size(), kNoHop);
+    for (std::size_t h = 0; h < hops_.size(); ++h) {
+        const Hop &hop = hops_[h];
+        hopIndex_[hop.tree][static_cast<std::size_t>(hop.node)] = h;
+        lastTreeMetrics_[hop.tree][hop.node] = {};
     }
-    aggSeq_.assign(aggs_.size(), 0);
+
+    // One fragment per internal worker, cut at its stations and its
+    // children's; the root's is the classic room worker.
+    for (std::uint32_t ep = static_cast<std::uint32_t>(plan_.leafWorkers);
+         ep <= plan_.rootEndpoint(); ++ep) {
+        fragments_.emplace_back(system_, plan_.topsOf(ep),
+                                plan_.boundariesOf(ep), policy_);
+    }
+    for (std::uint32_t tier = 0; tier < plan_.tiers(); ++tier)
+        tierEndpoints_.push_back(plan_.tierEndpoints(tier));
+
+    seq_.assign(plan_.workers.size(), 0);
+    heard_.assign(plan_.workers.size(), 0);
+    rackFailed_.assign(racks_.size(), false);
+    rackDeclaredDead_.assign(racks_.size(), false);
+    missedHeartbeats_.assign(racks_.size(), 0);
+    metricCache_.assign(hops_.size(), {});
+    got_.assign(hops_.size(), 0);
+    fresh_.assign(hops_.size(), {});
+    budget_.assign(hops_.size(), 0.0);
 }
 
 std::size_t
-DistributedControlPlane::edgeIndexOf(std::size_t tree,
-                                     topo::NodeId node) const
+DistributedControlPlane::hopIndexOf(std::size_t tree,
+                                    topo::NodeId node) const
 {
-    if (tree >= edgeIndex_.size() || node < 0
-        || static_cast<std::size_t>(node) >= edgeIndex_[tree].size()) {
-        return kNoEdge;
+    if (tree >= hopIndex_.size() || node < 0
+        || static_cast<std::size_t>(node) >= hopIndex_[tree].size()) {
+        return kNoHop;
     }
-    return edgeIndex_[tree][static_cast<std::size_t>(node)];
+    return hopIndex_[tree][static_cast<std::size_t>(node)];
 }
 
-net::Transport::Endpoint
-DistributedControlPlane::roomEndpoint() const
+std::uint16_t
+DistributedControlPlane::senderId(std::uint32_t endpoint) const
 {
-    return static_cast<net::Transport::Endpoint>(racks_.size());
+    return endpoint == plan_.rootEndpoint()
+               ? net::kRoomSender
+               : static_cast<std::uint16_t>(endpoint);
+}
+
+bool
+DistributedControlPlane::rackDown(std::uint32_t endpoint) const
+{
+    return endpoint < racks_.size()
+           && (rackFailed_[endpoint] || rackDeclaredDead_[endpoint]);
 }
 
 void
@@ -669,7 +673,8 @@ DistributedControlPlane::rehomeWorker(std::size_t rack,
     }
 
     for (RackWorker::Edge &edge : racks_[rack].releaseEdges()) {
-        edges_[edgeIndexOf(edge.tree, edge.node)].rack = adopter;
+        hops_[hopIndexOf(edge.tree, edge.node)].owner =
+            static_cast<std::uint32_t>(adopter);
         for (const auto &ref : edge.leaves)
             leafToRack_[{ref.server, ref.supply}] = adopter;
         racks_[adopter].adoptEdge(std::move(edge));
@@ -683,14 +688,8 @@ DistributedControlPlane::iterate(const std::vector<Watts> &root_budgets)
         util::fatal("DistributedControlPlane: %zu budgets for %zu trees",
                     root_budgets.size(), system_.trees().size());
     }
-    MessageStats stats;
-    if (plan_.tiers() > 2) {
-        stats = transport_ ? iterateTransportDeep(root_budgets)
-                           : iterateDirectDeep(root_budgets);
-    } else {
-        stats = transport_ ? iterateTransport(root_budgets)
-                           : iterateDirect(root_budgets);
-    }
+    const MessageStats stats = transport_ ? iterateTransport(root_budgets)
+                                          : iterateDirect(root_budgets);
     recordIterationMetrics(stats);
     return stats;
 }
@@ -703,9 +702,9 @@ DistributedControlPlane::iterateDirect(
     const auto iterate_span =
         tracer_ ? tracer_->begin("iterate") : telemetry::PeriodTracer::kNoSpan;
     for (std::size_t t = 0; t < system_.trees().size(); ++t) {
-        auto &edge_metrics = lastTreeMetrics_[t];
-        if (system_.feedFailed(system_.tree(t).feed())) {
-            for (auto &[node, m] : edge_metrics)
+        auto &view = lastTreeMetrics_[t];
+        if (!treeLive(t)) {
+            for (auto &[node, m] : view)
                 m.clear();
             continue;
         }
@@ -713,41 +712,285 @@ DistributedControlPlane::iterateDirect(
             tracer_ ? tracer_->begin("tree", iterate_span)
                     : telemetry::PeriodTracer::kNoSpan;
 
-        // Upstream: every edge in this tree reports metrics.
-        for (const PlaneEdge &edge : edges_) {
-            if (edge.tree != t)
+        // Upstream, hop by hop in parent order: every fragment's
+        // boundary is in the view before the fragment gathers.
+        for (const Hop &hop : hops_) {
+            if (hop.tree != t)
                 continue;
-            ctrl::NodeMetrics &m = edge_metrics[edge.node];
-            m = racks_[edge.rack].computeMetrics(t, edge.node);
-            ++stats.metricsMessages;
+            ctrl::NodeMetrics &m = view[hop.node];
+            if (isEdge(hop)) {
+                m = racks_[hop.owner].computeMetrics(t, hop.node);
+                ++stats.metricsMessages;
+            } else {
+                m = fragment(hop.owner).gatherTop(t, view);
+                ++stats.summaryMessages;
+            }
             stats.metricClassesSent += m.classes().size();
         }
 
-        // Room worker computes the upper tree and returns edge budgets.
-        const auto edge_budgets =
-            room_.iterate(t, edge_metrics, root_budgets[t]);
-
-        // Downstream: budgets back to the owning rack workers.
-        for (const auto &[node, budget] : edge_budgets) {
-            ++stats.budgetMessages;
-            racks_[edges_[edgeIndexOf(t, node)].rack].applyBudget(
-                t, node, budget);
+        // Downstream: the root splits its budget, then every hop in
+        // reverse order — parents before children — applies or splits
+        // its share.
+        auto budgets =
+            fragment(plan_.rootEndpoint()).iterate(t, view, root_budgets[t]);
+        std::size_t edges = 0;
+        for (auto it = hops_.rbegin(); it != hops_.rend(); ++it) {
+            const Hop &hop = *it;
+            if (hop.tree != t)
+                continue;
+            const auto got = budgets.find(hop.node);
+            if (got == budgets.end())
+                continue;
+            if (isEdge(hop)) {
+                ++stats.budgetMessages;
+                ++edges;
+                racks_[hop.owner].applyBudget(t, hop.node, got->second);
+            } else {
+                ++stats.subBudgetMessages;
+                for (const auto &[node, b] :
+                     fragment(hop.owner).budgetDown(t, got->second))
+                    budgets[node] = b;
+            }
         }
         if (tracer_) {
             tracer_->num(tree_span, "tree", static_cast<double>(t));
-            tracer_->num(tree_span, "edges",
-                         static_cast<double>(edge_budgets.size()));
+            tracer_->num(tree_span, "edges", static_cast<double>(edges));
             tracer_->end(tree_span);
         }
     }
     if (tracer_) {
         tracer_->num(iterate_span, "metrics_messages",
                      static_cast<double>(stats.metricsMessages));
+        tracer_->num(iterate_span, "summary_messages",
+                     static_cast<double>(stats.summaryMessages));
         tracer_->num(iterate_span, "budget_messages",
                      static_cast<double>(stats.budgetMessages));
         tracer_->end(iterate_span);
     }
     return stats;
+}
+
+void
+DistributedControlPlane::post(std::uint32_t from, std::uint32_t to,
+                              std::size_t hop,
+                              std::vector<std::uint8_t> frame)
+{
+    transport_->send(from, to, frame);
+    pending_.push_back({hop, from, to, std::move(frame)});
+}
+
+void
+DistributedControlPlane::postSummary(std::uint32_t from, std::size_t hop,
+                                     ctrl::NodeMetrics metrics, Phase phase,
+                                     MessageStats &stats)
+{
+    net::MetricsMsg msg;
+    msg.tree = static_cast<std::uint16_t>(hops_[hop].tree);
+    msg.edgeNode = static_cast<std::uint32_t>(hops_[hop].node);
+    msg.metrics = std::move(metrics);
+    const net::FrameMeta meta{static_cast<std::uint16_t>(from), epoch_,
+                              seq_[from]++};
+    std::vector<std::uint8_t> frame;
+    if (phase == Phase::SpoGather) {
+        ++stats.spoSummaryMessages;
+        frame = net::encodePinnedSummary(meta, msg);
+    } else {
+        stats.metricClassesSent += msg.metrics.classes().size();
+        if (isEdge(hops_[hop])) {
+            ++stats.metricsMessages;
+            frame = net::encodeMetrics(meta, msg);
+        } else {
+            ++stats.summaryMessages;
+            frame = net::encodeSummary(meta, msg);
+        }
+    }
+    post(from, hops_[hop].parent, hop, std::move(frame));
+}
+
+void
+DistributedControlPlane::postBudgets(
+    std::uint32_t from, std::size_t tree,
+    const std::map<topo::NodeId, Watts> &split, Phase phase,
+    MessageStats &stats)
+{
+    const std::uint16_t sender = senderId(from);
+    for (const auto &[node, budget] : split) {
+        const std::size_t h = hopIndexOf(tree, node);
+        const std::uint32_t to = hops_[h].owner;
+        if (rackDown(to))
+            continue; // nobody home to receive it
+        net::BudgetMsg msg;
+        msg.tree = static_cast<std::uint16_t>(tree);
+        msg.edgeNode = static_cast<std::uint32_t>(node);
+        msg.budget = budget;
+        const net::FrameMeta meta{sender, epoch_, seq_[from]++};
+        std::vector<std::uint8_t> frame;
+        if (phase == Phase::SpoBudget) {
+            ++stats.spoBudgetMessages;
+            frame = net::encodeSpoBudget(meta, msg);
+        } else if (isEdge(hops_[h])) {
+            ++stats.budgetMessages;
+            frame = net::encodeBudget(meta, msg);
+        } else {
+            ++stats.subBudgetMessages;
+            frame = net::encodeSubBudget(meta, msg);
+        }
+        post(from, to, h, std::move(frame));
+    }
+}
+
+void
+DistributedControlPlane::exchange(std::uint32_t tier, Phase phase,
+                                  double phase_start, double deadline,
+                                  std::size_t &retries, MessageStats &stats)
+{
+    net::Transport &tp = *transport_;
+    for (int attempt = 1; attempt < protocol_.maxAttempts; ++attempt) {
+        const double next = phase_start + attempt * protocol_.retryTimeoutMs;
+        if (next >= deadline)
+            break;
+        tp.advanceTo(next);
+        receive(tier, phase, stats);
+        bool all_in = true;
+        for (const Pending &p : pending_) {
+            if (got_[p.hop] || plan_.workers[p.to].tier != tier)
+                continue;
+            all_in = false;
+            ++retries;
+            tp.send(p.from, p.to, p.frame);
+        }
+        if (all_in)
+            break;
+    }
+    tp.advanceTo(deadline);
+    receive(tier, phase, stats);
+}
+
+void
+DistributedControlPlane::receive(std::uint32_t tier, Phase phase,
+                                 MessageStats &stats)
+{
+    const bool upward = phase == Phase::Gather || phase == Phase::SpoGather;
+    for (const std::uint32_t at : tierEndpoints_[tier]) {
+        auto frames = transport_->poll(at);
+        if (at < racks_.size() && rackFailed_[at])
+            continue; // dead process: frames drain unread
+        for (const auto &bytes : frames) {
+            auto frame = net::decodeFrame(bytes);
+            if (!frame) {
+                ++stats.corruptFrames;
+                continue;
+            }
+            if (frame->epoch != epoch_) {
+                ++stats.orphanFrames;
+                continue;
+            }
+            if (upward) {
+                // A child reports the stations it owns: any frame from
+                // it is a heartbeat, a summary must name one of its
+                // own stations.
+                const std::uint32_t from = frame->sender;
+                if (from >= plan_.workers.size()
+                    || plan_.workers[from].parent != at) {
+                    ++stats.orphanFrames;
+                    continue;
+                }
+                heard_[from] = 1;
+                if (phase == Phase::Gather
+                    && frame->type == net::MsgType::Heartbeat)
+                    continue;
+                const net::MsgType want =
+                    phase == Phase::SpoGather ? net::MsgType::PinnedSummary
+                    : from < plan_.leafWorkers ? net::MsgType::Metrics
+                                               : net::MsgType::Summary;
+                const std::size_t h = hopIndexOf(
+                    frame->metrics.tree,
+                    static_cast<topo::NodeId>(frame->metrics.edgeNode));
+                if (frame->type != want || h == kNoHop
+                    || hops_[h].owner != from) {
+                    ++stats.orphanFrames;
+                    continue;
+                }
+                fresh_[h] = std::move(frame->metrics.metrics);
+                got_[h] = 1;
+            } else {
+                // Budgets come from the parent, for a station this
+                // worker owns.
+                const net::MsgType want =
+                    phase == Phase::SpoBudget ? net::MsgType::SpoBudget
+                    : at < plan_.leafWorkers  ? net::MsgType::Budget
+                                              : net::MsgType::SubBudget;
+                const std::size_t h = hopIndexOf(
+                    frame->budget.tree,
+                    static_cast<topo::NodeId>(frame->budget.edgeNode));
+                if (frame->type != want
+                    || frame->sender != senderId(plan_.workers[at].parent)
+                    || h == kNoHop || hops_[h].owner != at) {
+                    ++stats.orphanFrames;
+                    continue;
+                }
+                budget_[h] = frame->budget.budget;
+                got_[h] = 1;
+            }
+        }
+    }
+}
+
+void
+DistributedControlPlane::assemble(std::uint32_t endpoint,
+                                  MessageStats &stats)
+{
+    for (std::size_t h = 0; h < hops_.size(); ++h) {
+        const Hop &hop = hops_[h];
+        if (hop.parent != endpoint)
+            continue;
+        ctrl::NodeMetrics &slot = lastTreeMetrics_[hop.tree][hop.node];
+        if (!treeLive(hop.tree)) {
+            slot.clear();
+            continue;
+        }
+        CachedMetrics &cache = metricCache_[h];
+        if (got_[h]) {
+            cache.metrics = fresh_[h];
+            cache.epoch = epoch_;
+            cache.valid = true;
+            slot = std::move(fresh_[h]);
+            continue;
+        }
+        const std::uint32_t age = cache.valid ? epoch_ - cache.epoch : 0;
+        if (cache.valid
+            && age <= static_cast<std::uint32_t>(
+                   protocol_.staleAgeCapPeriods)) {
+            slot = cache.metrics;
+            ++stats.staleReuses;
+            stats.degraded.push_back({DegradedKind::StaleMetricsReused,
+                                      hop.tree, hop.node, hop.owner,
+                                      static_cast<double>(age)});
+        } else {
+            // Too old (or never seen): the station contributes nothing.
+            slot.clear();
+            ++stats.metricsLost;
+            stats.degraded.push_back({DegradedKind::MetricsLost, hop.tree,
+                                      hop.node, hop.owner,
+                                      static_cast<double>(age)});
+        }
+    }
+}
+
+void
+DistributedControlPlane::detectFailures(MessageStats &stats)
+{
+    // Liveness: any frame from a rack counts as its heartbeat.
+    for (std::size_t r = 0; r < racks_.size(); ++r) {
+        if (rackDeclaredDead_[r])
+            continue;
+        if (heard_[r]) {
+            missedHeartbeats_[r] = 0;
+        } else if (++missedHeartbeats_[r]
+                   >= protocol_.heartbeatFailAfter) {
+            rehomeWorker(r, stats);
+        }
+    }
 }
 
 MessageStats
@@ -759,7 +1002,8 @@ DistributedControlPlane::iterateTransport(
     ++epoch_;
     const std::size_t bytes_before = tp.stats().bytesSent;
     const double start = tp.nowMs();
-    const net::Transport::Endpoint room = roomEndpoint();
+    const std::uint32_t tiers = plan_.tiers();
+    const std::uint32_t root = plan_.rootEndpoint();
 
     const auto gather_span =
         tracer_ ? tracer_->begin("gather") : telemetry::PeriodTracer::kNoSpan;
@@ -767,146 +1011,61 @@ DistributedControlPlane::iterateTransport(
         tracer_->num(gather_span, "deadline_ms",
                      protocol_.gatherDeadlineMs);
     }
-
-    const auto tree_live = [&](std::size_t t) {
-        return !system_.feedFailed(system_.tree(t).feed());
-    };
-
-    // ---------------- upstream: heartbeats + per-edge metrics
-    std::vector<PendingFrame> pending_up;
-    pending_up.reserve(edges_.size());
-    for (std::size_t r = 0; r < racks_.size(); ++r) {
-        if (rackFailed_[r] || rackDeclaredDead_[r])
-            continue;
-        tp.send(static_cast<net::Transport::Endpoint>(r), room,
+    const auto heartbeat = [&](std::uint32_t ep) {
+        tp.send(ep, plan_.workers[ep].parent,
                 net::encodeHeartbeat(
-                    {static_cast<std::uint16_t>(r), epoch_,
-                     rackSeq_[r]++}));
+                    {static_cast<std::uint16_t>(ep), epoch_, seq_[ep]++}));
         ++stats.heartbeatMessages;
-        for (const RackWorker::Edge &edge : racks_[r].edges()) {
-            if (!tree_live(edge.tree))
-                continue;
-            net::MetricsMsg msg;
-            msg.tree = static_cast<std::uint16_t>(edge.tree);
-            msg.edgeNode = static_cast<std::uint32_t>(edge.node);
-            msg.metrics = racks_[r].computeMetrics(edge.tree, edge.node);
-            ++stats.metricsMessages;
-            stats.metricClassesSent += msg.metrics.classes().size();
-            auto frame = net::encodeMetrics(
-                {static_cast<std::uint16_t>(r), epoch_, rackSeq_[r]++},
-                msg);
-            tp.send(static_cast<net::Transport::Endpoint>(r), room,
-                    frame);
-            pending_up.push_back({edgeIndexOf(edge.tree, edge.node), r,
-                                  std::move(frame)});
-        }
-    }
-
-    // Per-round state, indexed by dense edge index (or rack).
-    std::vector<std::optional<ctrl::NodeMetrics>> fresh(edges_.size());
-    std::vector<bool> heard(racks_.size(), false);
-    const auto poll_room = [&] {
-        for (const auto &bytes : tp.poll(room)) {
-            auto frame = net::decodeFrame(bytes);
-            if (!frame) {
-                ++stats.corruptFrames;
-                continue;
-            }
-            if (frame->epoch != epoch_) {
-                ++stats.orphanFrames;
-                continue;
-            }
-            if (frame->sender < racks_.size())
-                heard[frame->sender] = true;
-            if (frame->type != net::MsgType::Metrics)
-                continue;
-            const std::size_t e = edgeIndexOf(
-                frame->metrics.tree,
-                static_cast<topo::NodeId>(frame->metrics.edgeNode));
-            if (e != kNoEdge)
-                fresh[e] = std::move(frame->metrics.metrics);
-        }
     };
 
-    const double gather_deadline = start + protocol_.gatherDeadlineMs;
-    for (int attempt = 1; attempt < protocol_.maxAttempts; ++attempt) {
-        const double next = start + attempt * protocol_.retryTimeoutMs;
-        if (next >= gather_deadline)
-            break;
-        tp.advanceTo(next);
-        poll_room();
-        bool all_in = true;
-        for (const PendingFrame &up : pending_up) {
-            if (fresh[up.edge])
+    // ---------------- upstream: the leaf tier reports at period start
+    pending_.clear();
+    std::fill(got_.begin(), got_.end(), 0);
+    std::fill(heard_.begin(), heard_.end(), 0);
+    for (std::uint32_t r = 0; r < racks_.size(); ++r) {
+        if (rackDown(r))
+            continue;
+        heartbeat(r);
+        for (const RackWorker::Edge &edge : racks_[r].edges()) {
+            if (treeLive(edge.tree)) {
+                postSummary(r, hopIndexOf(edge.tree, edge.node),
+                            racks_[r].computeMetrics(edge.tree, edge.node),
+                            Phase::Gather, stats);
+            }
+        }
+    }
+
+    // Tier k's gather closes at start + k x gatherDeadlineMs; then its
+    // workers assemble their boundary and report upward.
+    for (std::uint32_t tier = 1; tier < tiers; ++tier) {
+        exchange(tier, Phase::Gather,
+                 start + (tier - 1) * protocol_.gatherDeadlineMs,
+                 start + tier * protocol_.gatherDeadlineMs, stats.retries,
+                 stats);
+        if (tiers == 2)
+            detectFailures(stats);
+        for (const std::uint32_t ep : tierEndpoints_[tier]) {
+            if (ep != root)
+                heartbeat(ep);
+            assemble(ep, stats);
+            if (ep == root)
                 continue;
-            all_in = false;
-            ++stats.retries;
-            tp.send(static_cast<net::Transport::Endpoint>(up.rack),
-                    room, up.frame);
-        }
-        if (all_in)
-            break;
-    }
-    tp.advanceTo(gather_deadline);
-    poll_room();
-
-    // Liveness: any frame from a rack counts as its heartbeat.
-    for (std::size_t r = 0; r < racks_.size(); ++r) {
-        if (rackDeclaredDead_[r])
-            continue;
-        if (heard[r]) {
-            missedHeartbeats_[r] = 0;
-        } else if (++missedHeartbeats_[r]
-                   >= protocol_.heartbeatFailAfter) {
-            rehomeWorker(r, stats);
-        }
-    }
-
-    // Assemble per-tree edge metrics with §4.5 stale fallback, in place
-    // into the room's view (the base the SPO round overlays).
-    for (std::size_t e = 0; e < edges_.size(); ++e) {
-        const auto [t, node, rack] = edges_[e];
-        ctrl::NodeMetrics &slot = lastTreeMetrics_[t][node];
-        if (!tree_live(t)) {
-            slot.clear();
-            continue;
-        }
-        const std::pair<std::size_t, topo::NodeId> key{t, node};
-        if (fresh[e]) {
-            CachedMetrics &cache = metricCache_[key];
-            cache.metrics = *fresh[e];
-            cache.epoch = epoch_;
-            cache.valid = true;
-            slot = std::move(*fresh[e]);
-            continue;
-        }
-        const auto cached = metricCache_.find(key);
-        const std::uint32_t age =
-            cached != metricCache_.end() && cached->second.valid
-                ? epoch_ - cached->second.epoch
-                : 0;
-        if (cached != metricCache_.end() && cached->second.valid
-            && age <= static_cast<std::uint32_t>(
-                   protocol_.staleAgeCapPeriods)) {
-            slot = cached->second.metrics;
-            ++stats.staleReuses;
-            stats.degraded.push_back({DegradedKind::StaleMetricsReused,
-                                      t, node, rack,
-                                      static_cast<double>(age)});
-        } else {
-            // Too old (or never seen): the edge contributes nothing.
-            slot.clear();
-            ++stats.metricsLost;
-            stats.degraded.push_back(
-                {DegradedKind::MetricsLost, t, node, rack,
-                 static_cast<double>(age)});
+            for (const auto &[t, top] : plan_.workers[ep].stations) {
+                if (treeLive(t)) {
+                    postSummary(ep, hopIndexOf(t, top),
+                                fragment(ep).gatherTop(t,
+                                                       lastTreeMetrics_[t]),
+                                Phase::Gather, stats);
+                }
+            }
         }
     }
 
     const std::size_t gather_retries = stats.retries;
     if (tracer_) {
         tracer_->num(gather_span, "messages",
-                     static_cast<double>(stats.metricsMessages));
+                     static_cast<double>(stats.metricsMessages
+                                         + stats.summaryMessages));
         tracer_->num(gather_span, "heartbeats",
                      static_cast<double>(stats.heartbeatMessages));
         tracer_->num(gather_span, "retries",
@@ -925,117 +1084,64 @@ DistributedControlPlane::iterateTransport(
                      protocol_.budgetDeadlineMs);
     }
 
-    // ---------------- room compute + downstream budgets
-    std::vector<PendingFrame> pending_down;
-    pending_down.reserve(edges_.size());
+    // ---------------- downstream: the root splits, then each tier
+    // forwards what reached it by its deadline. A worker that missed
+    // its budget sends nothing further down, so its whole subtree
+    // degrades to Pcap_min floors.
+    pending_.clear();
+    std::fill(got_.begin(), got_.end(), 0);
     for (std::size_t t = 0; t < system_.trees().size(); ++t) {
-        if (!tree_live(t))
-            continue;
-        const auto edge_budgets =
-            room_.iterate(t, lastTreeMetrics_[t], root_budgets[t]);
-        for (const auto &[node, budget] : edge_budgets) {
-            const std::size_t e = edgeIndexOf(t, node);
-            const std::size_t rack = edges_[e].rack;
-            if (rackFailed_[rack] || rackDeclaredDead_[rack])
-                continue; // nobody home to receive it
-            net::BudgetMsg msg;
-            msg.tree = static_cast<std::uint16_t>(t);
-            msg.edgeNode = static_cast<std::uint32_t>(node);
-            msg.budget = budget;
-            ++stats.budgetMessages;
-            auto frame = net::encodeBudget(
-                {net::kRoomSender, epoch_, roomSeq_++}, msg);
-            tp.send(room, static_cast<net::Transport::Endpoint>(rack),
-                    frame);
-            pending_down.push_back({e, rack, std::move(frame)});
+        if (treeLive(t)) {
+            postBudgets(root, t,
+                        fragment(root).iterate(t, lastTreeMetrics_[t],
+                                               root_budgets[t]),
+                        Phase::Budget, stats);
         }
     }
-
-    std::vector<bool> applied(edges_.size(), false);
-    const auto poll_racks = [&] {
-        for (std::size_t r = 0; r < racks_.size(); ++r) {
-            const auto frames =
-                tp.poll(static_cast<net::Transport::Endpoint>(r));
-            if (rackFailed_[r])
-                continue; // dead process: frames drain unread
-            for (const auto &bytes : frames) {
-                const auto frame = net::decodeFrame(bytes);
-                if (!frame) {
-                    ++stats.corruptFrames;
-                    continue;
+    const double budget_start = tp.nowMs();
+    for (std::uint32_t tier = tiers - 1; tier-- > 0;) {
+        const double phase_start =
+            budget_start + (tiers - 2 - tier) * protocol_.budgetDeadlineMs;
+        exchange(tier, Phase::Budget, phase_start,
+                 phase_start + protocol_.budgetDeadlineMs, stats.retries,
+                 stats);
+        if (tier == 0)
+            break;
+        for (const std::uint32_t ep : tierEndpoints_[tier]) {
+            for (const auto &[t, top] : plan_.workers[ep].stations) {
+                const std::size_t h = hopIndexOf(t, top);
+                if (got_[h]) {
+                    postBudgets(ep, t,
+                                fragment(ep).budgetDown(t, budget_[h]),
+                                Phase::Budget, stats);
                 }
-                if (frame->epoch != epoch_
-                    || frame->type != net::MsgType::Budget) {
-                    ++stats.orphanFrames;
-                    continue;
-                }
-                const std::size_t t = frame->budget.tree;
-                const auto node =
-                    static_cast<topo::NodeId>(frame->budget.edgeNode);
-                const std::size_t e = edgeIndexOf(t, node);
-                if (e != kNoEdge && applied[e])
-                    continue; // duplicate delivery
-                // Re-homed mid-period races are impossible (failover
-                // happens before budgets go out), so the owner check
-                // is a pure integrity assertion.
-                if (e == kNoEdge || edges_[e].rack != r) {
-                    ++stats.orphanFrames;
-                    continue;
-                }
-                racks_[r].applyBudget(t, node, frame->budget.budget);
-                applied[e] = true;
             }
         }
-    };
-
-    const double budget_start = tp.nowMs();
-    const double budget_deadline =
-        budget_start + protocol_.budgetDeadlineMs;
-    for (int attempt = 1; attempt < protocol_.maxAttempts; ++attempt) {
-        const double next =
-            budget_start + attempt * protocol_.retryTimeoutMs;
-        if (next >= budget_deadline)
-            break;
-        tp.advanceTo(next);
-        poll_racks();
-        bool all_in = true;
-        for (const PendingFrame &down : pending_down) {
-            if (applied[down.edge])
-                continue;
-            all_in = false;
-            ++stats.retries;
-            tp.send(room,
-                    static_cast<net::Transport::Endpoint>(down.rack),
-                    down.frame);
-        }
-        if (all_in)
-            break;
     }
-    tp.advanceTo(budget_deadline);
-    poll_racks();
 
-    // §4.5 default budgets: a live rack whose edge saw no budget by the
-    // deadline falls back to its Pcap_min floor.
-    for (std::size_t e = 0; e < edges_.size(); ++e) {
-        const auto [t, node, rack] = edges_[e];
-        if (!tree_live(t) || rackFailed_[rack]
-            || rackDeclaredDead_[rack]) {
+    // Edges apply what arrived; a live rack whose edge saw no budget
+    // by the deadline falls back to its §4.5 Pcap_min floor.
+    for (std::size_t h = 0; h < hops_.size(); ++h) {
+        const Hop &hop = hops_[h];
+        if (!isEdge(hop) || !treeLive(hop.tree) || rackDown(hop.owner))
+            continue;
+        RackWorker &rack = racks_[hop.owner];
+        if (got_[h]) {
+            rack.applyBudget(hop.tree, hop.node, budget_[h]);
             continue;
         }
-        if (applied[e])
-            continue;
-        const Watts fallback = racks_[rack].defaultBudget(t, node);
-        racks_[rack].applyBudget(t, node, fallback);
+        const Watts fallback = rack.defaultBudget(hop.tree, hop.node);
+        rack.applyBudget(hop.tree, hop.node, fallback);
         ++stats.defaultBudgets;
-        stats.degraded.push_back(
-            {DegradedKind::DefaultBudgetApplied, t, node, rack,
-             fallback});
+        stats.degraded.push_back({DegradedKind::DefaultBudgetApplied,
+                                  hop.tree, hop.node, hop.owner, fallback});
     }
 
     stats.bytesOnWire = tp.stats().bytesSent - bytes_before;
     if (tracer_) {
         tracer_->num(budget_span, "messages",
-                     static_cast<double>(stats.budgetMessages));
+                     static_cast<double>(stats.budgetMessages
+                                         + stats.subBudgetMessages));
         tracer_->num(budget_span, "retries",
                      static_cast<double>(stats.retries - gather_retries));
         tracer_->num(budget_span, "defaults",
@@ -1134,18 +1240,18 @@ DistributedControlPlane::iterateSpoDirect(
         // straight into the room's view.
         auto &base = lastTreeMetrics_[t];
         for (const topo::NodeId node : nodes) {
-            const std::size_t rack = edges_[edgeIndexOf(t, node)].rack;
+            const std::uint32_t rack = hops_[hopIndexOf(t, node)].owner;
             ++stats.spoSummaryMessages;
             base[node] = racks_[rack].computeMetrics(t, node);
         }
 
-        const auto edge_budgets =
-            room_.iterate(t, base, root_budgets[t]);
+        const auto edge_budgets = fragment(plan_.rootEndpoint())
+                                      .iterate(t, base, root_budgets[t]);
 
         for (const auto &[node, budget] : edge_budgets) {
             ++stats.spoBudgetMessages;
-            racks_[edges_[edgeIndexOf(t, node)].rack].applyBudget(
-                t, node, budget);
+            racks_[hops_[hopIndexOf(t, node)].owner].applyBudget(t, node,
+                                                                  budget);
         }
         committed.insert(t);
         ++stats.spoCommittedTrees;
@@ -1171,7 +1277,7 @@ DistributedControlPlane::iterateSpoTransport(
 
     net::Transport &tp = *transport_;
     const std::size_t bytes_before = tp.stats().bytesSent;
-    const net::Transport::Endpoint room = roomEndpoint();
+    const std::uint32_t root = plan_.rootEndpoint();
     const std::size_t spo_retries_entry = stats.spoRetries;
     const auto spo_gather_span =
         tracer_ ? tracer_->begin("spo.gather")
@@ -1192,78 +1298,23 @@ DistributedControlPlane::iterateSpoTransport(
     const auto affected = pinnedEdges(pins);
 
     // ---------------- upstream: pinned summaries from affected edges
-    std::vector<PendingFrame> pending_up;
-    std::vector<bool> unreachable(edges_.size(), false);
+    pending_.clear();
+    std::fill(got_.begin(), got_.end(), 0);
     for (const auto &[t, nodes] : affected) {
         ++stats.spoTreesAttempted;
         for (const topo::NodeId node : nodes) {
-            const std::size_t e = edgeIndexOf(t, node);
-            const std::size_t rack = edges_[e].rack;
-            if (rackFailed_[rack] || rackDeclaredDead_[rack]) {
-                unreachable[e] = true;
-                continue;
+            const std::size_t h = hopIndexOf(t, node);
+            const std::uint32_t rack = hops_[h].owner;
+            if (!rackDown(rack)) {
+                postSummary(rack, h, racks_[rack].computeMetrics(t, node),
+                            Phase::SpoGather, stats);
             }
-            net::MetricsMsg msg;
-            msg.tree = static_cast<std::uint16_t>(t);
-            msg.edgeNode = static_cast<std::uint32_t>(node);
-            msg.metrics = racks_[rack].computeMetrics(t, node);
-            ++stats.spoSummaryMessages;
-            auto frame = net::encodePinnedSummary(
-                {static_cast<std::uint16_t>(rack), epoch_,
-                 rackSeq_[rack]++},
-                msg);
-            tp.send(static_cast<net::Transport::Endpoint>(rack), room,
-                    frame);
-            pending_up.push_back({e, rack, std::move(frame)});
         }
     }
-
-    std::vector<std::optional<ctrl::NodeMetrics>> fresh(edges_.size());
-    const auto poll_room = [&] {
-        for (const auto &bytes : tp.poll(room)) {
-            auto frame = net::decodeFrame(bytes);
-            if (!frame) {
-                ++stats.corruptFrames;
-                continue;
-            }
-            // Late first-phase traffic and old epochs are both dead
-            // weight here; neither may masquerade as a pinned summary.
-            if (frame->epoch != epoch_
-                || frame->type != net::MsgType::PinnedSummary) {
-                ++stats.orphanFrames;
-                continue;
-            }
-            const std::size_t e = edgeIndexOf(
-                frame->metrics.tree,
-                static_cast<topo::NodeId>(frame->metrics.edgeNode));
-            if (e != kNoEdge)
-                fresh[e] = std::move(frame->metrics.metrics);
-        }
-    };
-
     const double spo_start = tp.nowMs();
-    const double gather_deadline =
-        spo_start + protocol_.spoGatherDeadlineMs;
-    for (int attempt = 1; attempt < protocol_.maxAttempts; ++attempt) {
-        const double next = spo_start + attempt * protocol_.retryTimeoutMs;
-        if (next >= gather_deadline)
-            break;
-        tp.advanceTo(next);
-        poll_room();
-        bool all_in = true;
-        for (const PendingFrame &up : pending_up) {
-            if (fresh[up.edge])
-                continue;
-            all_in = false;
-            ++stats.spoRetries;
-            tp.send(static_cast<net::Transport::Endpoint>(up.rack),
-                    room, up.frame);
-        }
-        if (all_in)
-            break;
-    }
-    tp.advanceTo(gather_deadline);
-    poll_room();
+    exchange(plan_.root().tier, Phase::SpoGather, spo_start,
+             spo_start + protocol_.spoGatherDeadlineMs, stats.spoRetries,
+             stats);
 
     // A tree may only be re-budgeted from a complete second-pass view:
     // any missing pinned summary aborts the tree before a single budget
@@ -1272,8 +1323,8 @@ DistributedControlPlane::iterateSpoTransport(
     for (const auto &[t, nodes] : affected) {
         bool ok = true;
         for (const topo::NodeId node : nodes) {
-            const std::size_t e = edgeIndexOf(t, node);
-            if (unreachable[e] || !fresh[e]) {
+            const std::size_t h = hopIndexOf(t, node);
+            if (rackDown(hops_[h].owner) || !got_[h]) {
                 ok = false;
                 break;
             }
@@ -1313,99 +1364,31 @@ DistributedControlPlane::iterateSpoTransport(
     const auto swap_pinned = [&](std::size_t t) {
         auto &base = lastTreeMetrics_[t];
         for (const topo::NodeId node : affected.at(t))
-            std::swap(base[node], *fresh[edgeIndexOf(t, node)]);
+            std::swap(base[node], fresh_[hopIndexOf(t, node)]);
     };
-    std::vector<PendingFrame> pending_down;
-    /** Per tree: the dense edges owed a second-pass budget. */
-    std::vector<std::vector<std::size_t>> expect(system_.trees().size());
+    pending_.clear();
+    std::fill(got_.begin(), got_.end(), 0);
     for (const std::size_t t : gather_ok) {
         swap_pinned(t);
-        const auto edge_budgets =
-            room_.iterate(t, lastTreeMetrics_[t], root_budgets[t]);
+        const auto edge_budgets = fragment(root).iterate(
+            t, lastTreeMetrics_[t], root_budgets[t]);
         swap_pinned(t);
-        for (const auto &[node, budget] : edge_budgets) {
-            const std::size_t e = edgeIndexOf(t, node);
-            const std::size_t rack = edges_[e].rack;
-            if (rackFailed_[rack] || rackDeclaredDead_[rack])
-                continue; // nobody home to receive it
-            net::BudgetMsg msg;
-            msg.tree = static_cast<std::uint16_t>(t);
-            msg.edgeNode = static_cast<std::uint32_t>(node);
-            msg.budget = budget;
-            ++stats.spoBudgetMessages;
-            auto frame = net::encodeSpoBudget(
-                {net::kRoomSender, epoch_, roomSeq_++}, msg);
-            tp.send(room, static_cast<net::Transport::Endpoint>(rack),
-                    frame);
-            expect[t].push_back(e);
-            pending_down.push_back({e, rack, std::move(frame)});
-        }
+        postBudgets(root, t, edge_budgets, Phase::SpoBudget, stats);
     }
-
     // Racks buffer second-pass budgets without applying them, so an
     // incomplete tree can roll back without ever mixing the passes.
-    std::vector<std::optional<Watts>> buffered(edges_.size());
-    const auto poll_racks = [&] {
-        for (std::size_t r = 0; r < racks_.size(); ++r) {
-            const auto frames =
-                tp.poll(static_cast<net::Transport::Endpoint>(r));
-            if (rackFailed_[r])
-                continue; // dead process: frames drain unread
-            for (const auto &bytes : frames) {
-                const auto frame = net::decodeFrame(bytes);
-                if (!frame) {
-                    ++stats.corruptFrames;
-                    continue;
-                }
-                if (frame->epoch != epoch_
-                    || frame->type != net::MsgType::SpoBudget) {
-                    ++stats.orphanFrames;
-                    continue;
-                }
-                const std::size_t e = edgeIndexOf(
-                    frame->budget.tree,
-                    static_cast<topo::NodeId>(frame->budget.edgeNode));
-                if (e == kNoEdge || edges_[e].rack != r) {
-                    ++stats.orphanFrames;
-                    continue;
-                }
-                buffered[e] = frame->budget.budget;
-            }
-        }
-    };
-
     const double budget_start = tp.nowMs();
-    const double budget_deadline =
-        budget_start + protocol_.spoBudgetDeadlineMs;
-    for (int attempt = 1; attempt < protocol_.maxAttempts; ++attempt) {
-        const double next =
-            budget_start + attempt * protocol_.retryTimeoutMs;
-        if (next >= budget_deadline)
-            break;
-        tp.advanceTo(next);
-        poll_racks();
-        bool all_in = true;
-        for (const PendingFrame &down : pending_down) {
-            if (buffered[down.edge])
-                continue;
-            all_in = false;
-            ++stats.spoRetries;
-            tp.send(room,
-                    static_cast<net::Transport::Endpoint>(down.rack),
-                    down.frame);
-        }
-        if (all_in)
-            break;
-    }
-    tp.advanceTo(budget_deadline);
-    poll_racks();
+    exchange(0, Phase::SpoBudget, budget_start,
+             budget_start + protocol_.spoBudgetDeadlineMs, stats.spoRetries,
+             stats);
 
     // Per-tree atomic commit: every live edge applies its second-pass
     // budget, or none does and the buffers are discarded.
     for (const std::size_t t : gather_ok) {
         bool complete = true;
-        for (const std::size_t e : expect[t]) {
-            if (!buffered[e]) {
+        for (std::size_t h = 0; h < hops_.size(); ++h) {
+            if (hops_[h].tree == t && !rackDown(hops_[h].owner)
+                && !got_[h]) {
                 complete = false;
                 break;
             }
@@ -1416,13 +1399,14 @@ DistributedControlPlane::iterateSpoTransport(
                                       topo::kNoNode, 0, 2.0});
             continue;
         }
-        for (const std::size_t e : expect[t]) {
-            racks_[edges_[e].rack].applyBudget(t, edges_[e].node,
-                                               *buffered[e]);
+        for (std::size_t h = 0; h < hops_.size(); ++h) {
+            const Hop &hop = hops_[h];
+            if (hop.tree == t && !rackDown(hop.owner))
+                racks_[hop.owner].applyBudget(t, hop.node, budget_[h]);
         }
         auto &base = lastTreeMetrics_[t];
         for (const topo::NodeId node : affected.at(t))
-            base[node] = std::move(*fresh[edgeIndexOf(t, node)]);
+            base[node] = std::move(fresh_[hopIndexOf(t, node)]);
         committed.insert(t);
         ++stats.spoCommittedTrees;
     }

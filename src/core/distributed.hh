@@ -1,29 +1,43 @@
 /**
  * @file
  * Distributed execution of the capping algorithm across worker VMs
- * (paper §5): rack-level workers own the edge (CDU-level) shifting
- * controllers and the capping controllers beneath them; a room-level
- * worker owns everything above (RPPs, transformers, contractual roots).
+ * (paper §5), as one gather/budget engine over a core::TreePlan. Leaf
+ * (rack) workers own the edge (CDU-level) shifting controllers and the
+ * capping controllers beneath them; optional aggregator workers own
+ * interior tree fragments; the root (room) worker owns everything
+ * above the highest cut. The classic rack/room split is simply the
+ * depth-2 plan, with no aggregator tier.
  *
- * The two tiers exchange explicit metric/budget messages. In *direct*
- * mode the exchange is an in-process function call and the plane is
- * bit-identical to the monolithic ControlTree (proven by test). In
- * *message-plane* mode the same exchange travels as encoded frames
- * (net/wire) over an unreliable SimTransport (net/transport), and the
- * plane runs the §4.5 fault-tolerant control-period protocol:
+ * Every worker below the root reports one *station* per tree it holds
+ * a fragment of — an edge node for a rack, its fragment top for an
+ * aggregator. Each (tree, station) pair is a *station hop* with a
+ * dense index, and one exchange walks the plan's tiers: summaries flow
+ * leaf → aggregators → root, budgets flow back down. In *direct* mode
+ * each hop is an in-process call and the plane is bit-identical to the
+ * monolithic ControlTree (proven by test), the §4.3 reduction being
+ * associative. In *message-plane* mode every hop travels as an encoded
+ * frame (net/wire) over a net::Transport and runs the §4.5
+ * fault-tolerant control-period protocol:
  *
- *   - bounded retransmission against per-phase deadlines,
- *   - stale-metric reuse (with an age cap) when an edge's metrics miss
- *     the gathering deadline,
- *   - conservative Pcap_min-level default budgets when a budget
- *     message is lost, and
+ *   - bounded retransmission against per-tier deadlines,
+ *   - stale-metric reuse (with an age cap) when a station's summary
+ *     misses its parent's gathering deadline,
+ *   - conservative Pcap_min-level default budgets at every edge whose
+ *     budget (or any ancestor's) is lost, and
  *   - heartbeat-based worker-failure detection that re-homes a dead
- *     worker's edge controllers onto a surviving rack worker.
+ *     rack worker's edge controllers onto a surviving rack worker.
  *
- * Under a lossless zero-latency transport the protocol degenerates to
- * the direct exchange, so budgets remain bit-identical to the
- * monolithic tree. Degraded-mode decisions are reported per iteration
- * in MessageStats so callers (e.g., ClosedLoopSim) can log them.
+ * A receiver files a summary only from the station's current owner
+ * and a budget only from its own parent; anything else is counted as
+ * an orphan frame. Under a lossless zero-latency transport the
+ * protocol degenerates to the direct exchange, so budgets remain
+ * bit-identical to the monolithic tree. Degraded-mode decisions are
+ * reported per iteration in MessageStats so callers (e.g.,
+ * ClosedLoopSim) can log them.
+ *
+ * Heartbeat failover and the §4.4 SPO round are still depth-2-only:
+ * both are room <-> rack exchanges whose state (re-homed edges, pinned
+ * summaries) has no aggregator-tier counterpart yet.
  *
  * Partitioning rule: within each (feed, phase) tree, the i-th leaf-parent
  * node (in pre-order) initially belongs to rack worker i. Structurally
@@ -311,7 +325,7 @@ class RoomWorker
 };
 
 /**
- * The full two-tier control plane: builds the partition, routes
+ * The full control plane: builds the worker plan and partition, routes
  * messages, and runs complete iterations. In direct mode budgets are
  * bit-identical to a monolithic ControlTree with the same policy; in
  * message-plane mode the §4.5 protocol runs over the given transport.
@@ -335,12 +349,15 @@ class DistributedControlPlane
      * must outlive the plane) under the §4.5 protocol @p protocol. Any
      * Transport backend works — SimTransport for deterministic
      * simulation, UdpTransport for real sockets (where advanceTo()
-     * paces the protocol's deadline schedule in wall time). A
-     * non-empty @p agg_levels makes the plane deep: every worker-to-
-     * worker hop runs the same deadline/retransmission discipline,
-     * with per-hop stale-metric fallback upstream and conservative
-     * defaults downstream. Worker failover (failWorker) and the §4.4
-     * SPO round remain 2-level-only.
+     * paces the protocol's deadline schedule in wall time).
+     *
+     * @p agg_levels picks the plan; the one exchange serves every
+     * depth. Tier k's gather closes k x gatherDeadlineMs after period
+     * start; the budget phase starts when the root has computed, and
+     * each tier below gets one budgetDeadlineMs. Every hop runs the
+     * same retransmission, stale-metric and default-budget discipline.
+     * Worker failover (failWorker) and the §4.4 SPO round remain
+     * depth-2-only.
      */
     DistributedControlPlane(const topo::PowerSystem &system,
                             ctrl::TreePolicy policy,
@@ -431,7 +448,7 @@ class DistributedControlPlane
                       telemetry::PeriodTracer *tracer);
 
   private:
-    /** Room's cache of the last received metrics per edge. */
+    /** A parent's cache of the last metrics received for one hop. */
     struct CachedMetrics
     {
         ctrl::NodeMetrics metrics;
@@ -439,60 +456,94 @@ class DistributedControlPlane
         bool valid = false;
     };
 
+    /**
+     * One station hop: a (tree, station) pair below the root, which its
+     * owner reports to its parent worker. Edge hops are the leaf-parent
+     * controllers (owned by rack workers); the others are aggregator
+     * fragment tops.
+     */
+    struct Hop
+    {
+        std::size_t tree = 0;
+        topo::NodeId node = topo::kNoNode;
+        /** Reporting worker endpoint (a rack for edges; moves on
+         *  failover). */
+        std::uint32_t owner = 0;
+        /** Worker endpoint the hop reports to. */
+        std::uint32_t parent = 0;
+    };
+
+    /** A frame sent for one hop, kept for retransmission until the
+     *  hop is answered. */
+    struct Pending
+    {
+        std::size_t hop = 0;
+        std::uint32_t from = 0;
+        std::uint32_t to = 0;
+        std::vector<std::uint8_t> frame;
+    };
+
+    /** The exchange a receiver screens frames for. */
+    enum class Phase { Gather, Budget, SpoGather, SpoBudget };
+
     const topo::PowerSystem &system_;
     ctrl::TreePolicy policy_;
-    /** Worker layout; 2-level unless agg levels were given. Declared
-     *  before room_ so the root boundary can be derived from it. */
+    /** Worker layout; 2-level unless agg levels were given. */
     TreePlan plan_;
     std::vector<RackWorker> racks_;
-    RoomWorker room_;
-    /** Aggregator fragments (deep plans), indexed ep - leafWorkers. */
-    std::vector<RoomWorker> aggs_;
-    std::vector<std::uint32_t> aggSeq_;
+    /** Fragment workers (aggregator tiers, then the root last),
+     *  indexed by endpoint - plan_.leafWorkers. */
+    std::vector<RoomWorker> fragments_;
     /** (server, supply) -> owning rack worker. */
     std::map<std::pair<std::int32_t, std::int32_t>, std::size_t>
         leafToRack_;
 
-    /** One edge (leaf-parent) controller and its current owner. */
-    struct PlaneEdge
-    {
-        std::size_t tree = 0;
-        topo::NodeId node = topo::kNoNode;
-        /** Owning rack worker (moves on failover). */
-        std::size_t rack = 0;
-    };
     /**
-     * Every edge controller in (tree, node) order, built once by
-     * buildWorkers(). An edge's position is its dense index: the
-     * per-round protocol state is kept in vectors indexed by it.
+     * Every station hop in (parent, tree, node) order, built once by
+     * buildWorkers(). A hop's position is its dense index: the per-round
+     * protocol state is kept in vectors indexed by it. Parents are
+     * numbered bottom-up, so a fragment's boundary hops come before its
+     * own hop; on a depth-2 plan the hops are exactly the edges in
+     * (tree, node) order.
      */
-    std::vector<PlaneEdge> edges_;
-    /** Per tree: topology node id -> dense edge index (kNoEdge when
-     *  the node is not an edge). */
-    std::vector<std::vector<std::size_t>> edgeIndex_;
-    static constexpr std::size_t kNoEdge = static_cast<std::size_t>(-1);
+    std::vector<Hop> hops_;
+    /** Per tree: topology node id -> hop index (kNoHop when the node
+     *  is no station below the root). */
+    std::vector<std::vector<std::size_t>> hopIndex_;
+    static constexpr std::size_t kNoHop = static_cast<std::size_t>(-1);
+    /** Worker endpoints per tier, ascending (plan_.tierEndpoints()). */
+    std::vector<std::vector<std::uint32_t>> tierEndpoints_;
 
     // -------- message-plane state
     net::Transport *transport_ = nullptr;
     net::ProtocolConfig protocol_;
     std::uint32_t epoch_ = 0;
-    std::vector<std::uint32_t> rackSeq_;
-    std::uint32_t roomSeq_ = 0;
+    /** Next frame sequence number per worker endpoint. */
+    std::vector<std::uint32_t> seq_;
     /** Ground truth: the worker process is dead. */
     std::vector<bool> rackFailed_;
     /** Room's view: the worker was declared dead and failed over. */
     std::vector<bool> rackDeclaredDead_;
     std::vector<int> missedHeartbeats_;
-    std::map<std::pair<std::size_t, topo::NodeId>, CachedMetrics>
-        metricCache_;
+    /** The §4.5 stale-metric fallback, per hop. */
+    std::vector<CachedMetrics> metricCache_;
+    /** Per-phase round state over the hop index: answered yet, and
+     *  the summary or budget that answered it (the last copy wins). */
+    std::vector<char> got_;
+    std::vector<ctrl::NodeMetrics> fresh_;
+    std::vector<Watts> budget_;
+    /** Per endpoint: any frame reached its parent this gather. */
+    std::vector<char> heard_;
+    /** Frames awaiting an answer in the current phase. */
+    std::vector<Pending> pending_;
     /**
-     * Edge metrics the room used in the last iterate() (per tree), the
-     * base the SPO round overlays pinned summaries onto. Never fed from
-     * pinned summaries, and distinct from metricCache_ so the SPO round
-     * cannot pollute the §4.5 stale-metric fallback. Holds an entry for
-     * every edge, rewritten in place each period; an edge that
-     * contributed nothing holds empty metrics, which the room reads
-     * exactly as it reads an absent edge.
+     * Per tree: every hop's metrics as its parent last used them —
+     * the boundary view every fragment gathers from, and the base the
+     * SPO round overlays pinned summaries onto. Never fed from pinned
+     * summaries, and distinct from metricCache_ so the SPO round cannot
+     * pollute the §4.5 stale-metric fallback. Rewritten in place each
+     * period; a hop that contributed nothing holds empty metrics, which
+     * a fragment reads exactly as it reads an absent station.
      */
     std::vector<std::map<topo::NodeId, ctrl::NodeMetrics>>
         lastTreeMetrics_;
@@ -537,17 +588,29 @@ class DistributedControlPlane
     partition(const topo::PowerSystem &system);
 
     void buildWorkers();
-    /** Dense index of edge (@p tree, @p node); kNoEdge when the pair
-     *  names no edge (e.g. a hostile or corrupt frame's fields). */
-    std::size_t edgeIndexOf(std::size_t tree, topo::NodeId node) const;
-    net::Transport::Endpoint roomEndpoint() const;
+    /** Dense index of hop (@p tree, @p node); kNoHop when the pair
+     *  names no hop (e.g. a hostile or corrupt frame's fields). */
+    std::size_t hopIndexOf(std::size_t tree, topo::NodeId node) const;
+    bool isEdge(const Hop &hop) const
+    {
+        return hop.owner < plan_.leafWorkers;
+    }
+    RoomWorker &fragment(std::uint32_t endpoint)
+    {
+        return fragments_[endpoint - plan_.leafWorkers];
+    }
+    bool treeLive(std::size_t tree) const
+    {
+        return !system_.feedFailed(system_.tree(tree).feed());
+    }
+    /** Wire sender id of worker @p endpoint: the root signs as
+     *  kRoomSender, the alias every child expects. */
+    std::uint16_t senderId(std::uint32_t endpoint) const;
+    /** True for a rack worker that is dead or declared dead. */
+    bool rackDown(std::uint32_t endpoint) const;
+
     MessageStats iterateDirect(const std::vector<Watts> &root_budgets);
     MessageStats iterateTransport(const std::vector<Watts> &root_budgets);
-    // Deep-plan iteration bodies (src/core/distributed_deep.cc).
-    MessageStats
-    iterateDirectDeep(const std::vector<Watts> &root_budgets);
-    MessageStats
-    iterateTransportDeep(const std::vector<Watts> &root_budgets);
     std::set<std::size_t>
     iterateSpoDirect(const std::vector<Watts> &root_budgets,
                      const std::vector<ctrl::SpoPin> &pins,
@@ -556,6 +619,37 @@ class DistributedControlPlane
     iterateSpoTransport(const std::vector<Watts> &root_budgets,
                         const std::vector<ctrl::SpoPin> &pins,
                         MessageStats &stats);
+
+    /** Send @p frame for hop @p hop and keep it for retransmission. */
+    void post(std::uint32_t from, std::uint32_t to, std::size_t hop,
+              std::vector<std::uint8_t> frame);
+    /** Report @p metrics for hop @p hop from its owner @p from:
+     *  Metrics/Summary frames, or PinnedSummary in the SPO round. */
+    void postSummary(std::uint32_t from, std::size_t hop,
+                     ctrl::NodeMetrics metrics, Phase phase,
+                     MessageStats &stats);
+    /** Send worker @p from's @p split of tree @p tree to the owners of
+     *  its boundary stations (skipping dead racks). */
+    void postBudgets(std::uint32_t from, std::size_t tree,
+                     const std::map<topo::NodeId, Watts> &split,
+                     Phase phase, MessageStats &stats);
+    /**
+     * Bounded retransmission for the receivers at @p tier: poll until
+     * every pending frame to that tier is answered or @p deadline
+     * passes, re-sending the unanswered ones every retryTimeoutMs from
+     * @p phase_start, up to maxAttempts sends in all.
+     */
+    void exchange(std::uint32_t tier, Phase phase, double phase_start,
+                  double deadline, std::size_t &retries,
+                  MessageStats &stats);
+    /** Drain every endpoint at @p tier, decode and screen each frame,
+     *  and file what @p phase expects into the round state. */
+    void receive(std::uint32_t tier, Phase phase, MessageStats &stats);
+    /** File hop summaries below @p endpoint into the tree views, with
+     *  the §4.5 stale fallback for the ones that missed the deadline. */
+    void assemble(std::uint32_t endpoint, MessageStats &stats);
+    /** Heartbeat liveness after the root's gather (depth-2 plans). */
+    void detectFailures(MessageStats &stats);
     /** Affected edges per attempted tree (edges holding >= 1 pin). */
     std::map<std::size_t, std::set<topo::NodeId>>
     pinnedEdges(const std::vector<ctrl::SpoPin> &pins) const;

@@ -72,9 +72,11 @@ SimTransport::sampleLatency()
 
 void
 SimTransport::enqueue(Endpoint to, double deliver_at,
-                      const std::vector<std::uint8_t> &frame)
+                      std::vector<std::uint8_t> frame)
 {
-    queues_[to].emplace(std::make_pair(deliver_at, order_++), frame);
+    queues_[to].emplace(std::make_pair(deliver_at, order_++),
+                        std::move(frame));
+    ++inFlight_;
 }
 
 void
@@ -107,7 +109,7 @@ SimTransport::send(Endpoint from, Endpoint to,
     mLatencyMs_.observe(deliver_at - nowMs_);
     enqueue(to, deliver_at, std::move(frame));
     if (registry_ != nullptr)
-        mQueueDepth_.set(static_cast<double>(inFlight()));
+        mQueueDepth_.set(static_cast<double>(inFlight_));
 }
 
 std::vector<std::vector<std::uint8_t>>
@@ -125,11 +127,12 @@ SimTransport::poll(Endpoint to)
         q.erase(q.begin());
         ++stats_.framesDelivered;
     }
+    inFlight_ -= out.size();
     stats_.bytesDelivered += bytes;
     if (registry_ != nullptr && !out.empty()) {
         mDelivered_.inc(static_cast<double>(out.size()));
         mBytesDelivered_.inc(static_cast<double>(bytes));
-        mQueueDepth_.set(static_cast<double>(inFlight()));
+        mQueueDepth_.set(static_cast<double>(inFlight_));
     }
     return out;
 }
@@ -145,15 +148,6 @@ SimTransport::advanceBy(double ms)
 {
     if (ms > 0.0)
         nowMs_ += ms;
-}
-
-std::size_t
-SimTransport::inFlight() const
-{
-    std::size_t n = 0;
-    for (const auto &[to, q] : queues_)
-        n += q.size();
-    return n;
 }
 
 } // namespace capmaestro::net

@@ -169,7 +169,7 @@ class SimTransport : public Transport
     double nowMs() const override { return nowMs_; }
 
     /** Frames currently queued (any destination, any delivery time). */
-    std::size_t inFlight() const override;
+    std::size_t inFlight() const override { return inFlight_; }
 
     const TransportStats &stats() const override { return stats_; }
 
@@ -185,12 +185,14 @@ class SimTransport : public Transport
                       std::vector<std::uint8_t>>;
 
     void enqueue(Endpoint to, double deliver_at,
-                 const std::vector<std::uint8_t> &frame);
+                 std::vector<std::uint8_t> frame);
     double sampleLatency();
 
     TransportConfig config_;
     util::Rng rng_;
     std::map<Endpoint, Queue> queues_;
+    /** Frames across every queue, kept by enqueue() and poll(). */
+    std::size_t inFlight_ = 0;
     TransportStats stats_;
     double nowMs_ = 0.0;
     std::uint64_t order_ = 0;

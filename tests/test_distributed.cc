@@ -5,7 +5,8 @@
  * under every policy, message accounting, partition behavior, and the
  * §4.5 fault-tolerant protocol over the simulated message plane
  * (lossless bit-equivalence, stale-metric reuse, default budgets,
- * worker failover, and safety under frame loss).
+ * worker failover, safety under frame loss, owner-only reporting, and
+ * the locked frame schedule of the 2-level plane).
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "control/control_tree.hh"
 #include "core/distributed.hh"
 #include "net/transport.hh"
+#include "net/wire.hh"
 #include "sim/datacenter.hh"
 #include "sim/scenario.hh"
 #include "util/random.hh"
@@ -43,6 +45,121 @@ randomInputs(const topo::PowerSystem &system, util::Rng &rng)
     }
     return out;
 }
+
+/**
+ * Base for transports that wrap a SimTransport: forwards everything.
+ * Subclasses override send() to observe or tamper with frames.
+ */
+class SimWrapper : public net::Transport
+{
+  public:
+    explicit SimWrapper(net::SimTransport &inner) : inner_(inner) {}
+
+    void send(Endpoint from, Endpoint to,
+              std::vector<std::uint8_t> frame) override
+    {
+        inner_.send(from, to, std::move(frame));
+    }
+    std::vector<std::vector<std::uint8_t>> poll(Endpoint to) override
+    {
+        return inner_.poll(to);
+    }
+    void advanceTo(double ms) override { inner_.advanceTo(ms); }
+    void advanceBy(double ms) override { inner_.advanceBy(ms); }
+    double nowMs() const override { return inner_.nowMs(); }
+    std::size_t inFlight() const override { return inner_.inFlight(); }
+    const net::TransportStats &stats() const override
+    {
+        return inner_.stats();
+    }
+    void setTelemetry(telemetry::Registry *registry) override
+    {
+        inner_.setTelemetry(registry);
+    }
+
+  protected:
+    net::SimTransport &inner_;
+};
+
+/**
+ * FNV-1a (64-bit) over every send's (from, to, type, sender, epoch,
+ * seq, length) — the frame schedule without the payload bytes, so the
+ * hash does not depend on floating-point results.
+ */
+class ScheduleHasher : public SimWrapper
+{
+  public:
+    using SimWrapper::SimWrapper;
+
+    void send(Endpoint from, Endpoint to,
+              std::vector<std::uint8_t> frame) override
+    {
+        const auto decoded = net::decodeFrame(frame);
+        EXPECT_TRUE(decoded.has_value());
+        if (decoded) {
+            mix(from, 4);
+            mix(to, 4);
+            mix(static_cast<std::uint8_t>(decoded->type), 1);
+            mix(decoded->sender, 2);
+            mix(decoded->epoch, 4);
+            mix(decoded->seq, 4);
+            mix(frame.size(), 8);
+        }
+        ++sends;
+        SimWrapper::send(from, to, std::move(frame));
+    }
+
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    std::size_t sends = 0;
+
+  private:
+    void mix(std::uint64_t value, int bytes)
+    {
+        for (int i = 0; i < bytes; ++i) {
+            hash ^= (value >> (8 * i)) & 0xFF;
+            hash *= 0x100000001b3ULL;
+        }
+    }
+};
+
+/**
+ * Drops every Metrics frame rack 1 sends; with @c forge set, sends in
+ * its place a current-epoch Metrics frame from rack 0 claiming rack
+ * 1's edge, carrying a huge top-priority demand.
+ */
+class ForgeRackOneMetrics : public SimWrapper
+{
+  public:
+    ForgeRackOneMetrics(net::SimTransport &inner, bool forge)
+        : SimWrapper(inner), forge_(forge)
+    {
+    }
+
+    void send(Endpoint from, Endpoint to,
+              std::vector<std::uint8_t> frame) override
+    {
+        if (from == 1) {
+            const auto decoded = net::decodeFrame(frame);
+            if (decoded && decoded->type == net::MsgType::Metrics) {
+                if (forge_) {
+                    net::MetricsMsg msg = decoded->metrics;
+                    msg.metrics.clear();
+                    msg.metrics.accumulate(3, 400.0, 5000.0, 5000.0);
+                    msg.metrics.setConstraint(5000.0);
+                    SimWrapper::send(
+                        0, to,
+                        net::encodeMetrics({0, decoded->epoch, 0xF0F0},
+                                           msg));
+                }
+                return;
+            }
+        }
+        SimWrapper::send(from, to, std::move(frame));
+    }
+
+  private:
+    bool forge_;
+};
 
 } // namespace
 
@@ -474,4 +591,115 @@ TEST(Distributed, CompactSummariesIndependentOfServerCount)
     // 5x the servers, same number of messages, payload within the
     // priority-level bound either way.
     EXPECT_LE(classes_large, classes_small * 2);
+}
+
+TEST(MessagePlane, OnlyTheEdgeOwnerMayReportIt)
+{
+    // Rack 1's metrics never arrive; a forged current-epoch frame from
+    // rack 0 claims rack 1's edge instead. The room must file metrics
+    // only from a station's owner: the forgery counts as an orphan and
+    // the edge is treated exactly as when its metrics are simply lost.
+    auto sys = sim::fig2System();
+    const auto policy = ctrl::TreePolicy::globalPriority();
+    net::SimTransport plain_sim, forged_sim; // lossless
+    ForgeRackOneMetrics plain_tp(plain_sim, false);
+    ForgeRackOneMetrics forged_tp(forged_sim, true);
+    DistributedControlPlane plain(*sys, policy, plain_tp);
+    DistributedControlPlane forged(*sys, policy, forged_tp);
+    ASSERT_GE(forged.rackWorkerCount(), 2u);
+
+    util::Rng rng(31);
+    const auto inputs = randomInputs(*sys, rng);
+    for (const auto &[ref, in] : inputs) {
+        plain.setLeafInput(ref, in);
+        forged.setLeafInput(ref, in);
+    }
+    for (int period = 0; period < 4; ++period) {
+        plain.iterate({1200.0});
+        const auto stats = forged.iterate({1200.0});
+        EXPECT_GE(stats.orphanFrames, 1u) << "period " << period;
+        bool rack1_lost = false;
+        for (const auto &d : stats.degraded) {
+            if (d.kind == core::DegradedKind::MetricsLost && d.rack == 1)
+                rack1_lost = true;
+        }
+        EXPECT_TRUE(rack1_lost) << "period " << period;
+        for (const auto &[ref, in] : inputs) {
+            EXPECT_EQ(
+                std::bit_cast<std::uint64_t>(forged.leafBudget(ref)),
+                std::bit_cast<std::uint64_t>(plain.leafBudget(ref)))
+                << "period " << period << " supply " << ref.server
+                << "." << ref.supply;
+        }
+    }
+}
+
+TEST(MessagePlane, TwoLevelFrameScheduleIsLocked)
+{
+    // The 2-level plane's frame stream — send order, addressing, frame
+    // types, sender ids, epochs, sequence numbers and frame lengths —
+    // over 50 lossy periods with an SPO round every period and one
+    // worker failover, hashed and compared with a recorded constant.
+    // Any change to the order in which the protocol sends, retransmits
+    // or numbers its frames changes the hash.
+    sim::DataCenterParams params;
+    params.phases = 1;
+    params.transformersPerFeed = 1;
+    params.rppsPerTransformer = 2;
+    params.cdusPerRpp = 3;
+    params.serversPerRackPerPhase = 3;
+    const auto dc = sim::buildDataCenter(params);
+    const auto &system = *dc.system;
+
+    net::TransportConfig cfg;
+    cfg.dropRate = 0.25;
+    cfg.dupRate = 0.1;
+    cfg.reorderRate = 0.2;
+    cfg.seed = 31337;
+    net::SimTransport sim(cfg);
+    ScheduleHasher recorder(sim);
+    DistributedControlPlane dist(system, ctrl::TreePolicy::globalPriority(),
+                                 recorder);
+
+    util::Rng rng(4242);
+    const auto inputs = randomInputs(system, rng);
+    std::vector<Watts> budgets(system.trees().size(), 0.0);
+    for (const auto &[ref, in] : inputs) {
+        if (in.live)
+            budgets[system.livePortsOf(ref.server).at(ref.supply).tree] +=
+                0.8 * in.demand;
+    }
+
+    std::size_t spo_rounds = 0, failovers = 0;
+    for (int period = 0; period < 50; ++period) {
+        for (const auto &[ref, in] : inputs)
+            dist.setLeafInput(ref, in);
+        if (period == 20)
+            dist.failWorker(2);
+        auto stats = dist.iterate(budgets);
+        std::vector<ctrl::SpoPin> pins;
+        for (int k = 0; k < 3; ++k) {
+            const auto &[ref, in] = inputs[static_cast<std::size_t>(
+                rng.uniformInt(0, static_cast<std::int64_t>(inputs.size())
+                                      - 1))];
+            ctrl::SpoPin pin;
+            pin.ref = ref;
+            pin.tree = system.livePortsOf(ref.server).at(ref.supply).tree;
+            pin.priority = in.priority;
+            pin.consumption = rng.uniform(in.capMin, in.demand);
+            pins.push_back(pin);
+        }
+        dist.iterateSpo(budgets, pins, stats);
+        spo_rounds += stats.spoRounds;
+        for (const auto &d : stats.degraded) {
+            if (d.kind == core::DegradedKind::WorkerFailover)
+                ++failovers;
+        }
+    }
+    EXPECT_EQ(spo_rounds, 50u);
+    EXPECT_EQ(failovers, 1u);
+    EXPECT_GT(recorder.sends, 0u);
+    EXPECT_EQ(recorder.hash, 0x1b9111dd883cf0dcULL)
+        << std::hex << "hash 0x" << recorder.hash << std::dec << " over "
+        << recorder.sends << " sends";
 }

@@ -2,7 +2,8 @@
  * @file
  * Tests for the SimTransport (net/transport): lossless FIFO behavior
  * with the default config, latency gating on the clock, deterministic
- * fault streams per seed, and drop/duplication statistics.
+ * fault streams per seed, drop/duplication statistics, and the
+ * in-flight count and queue-depth gauge under random traffic.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include <vector>
 
 #include "net/transport.hh"
+#include "telemetry/registry.hh"
+#include "util/random.hh"
 
 using namespace capmaestro;
 using net::SimTransport;
@@ -157,4 +160,53 @@ TEST(Transport, ReorderHoldsFramesBack)
     // Held frames arrive after non-held later frames: global order broke.
     EXPECT_TRUE(!held.empty());
     (void)out_of_order; // per-batch order is still delivery-time order
+}
+
+TEST(Transport, InFlightBalancesCountersUnderRandomTraffic)
+{
+    // Every frame sent is dropped, delivered, or still queued, and a
+    // duplicate adds one queued copy — so after any interleaving of
+    // send/advance/poll the in-flight count balances the counters, and
+    // the queue-depth gauge reads the same number.
+    TransportConfig cfg;
+    cfg.dropRate = 0.2;
+    cfg.dupRate = 0.15;
+    cfg.latencyMeanMs = 3.0;
+    cfg.latencyJitterMs = 2.0;
+    cfg.reorderRate = 0.1;
+    cfg.seed = 2024;
+    SimTransport tp(cfg);
+    telemetry::Registry registry;
+    tp.setTelemetry(&registry);
+    const auto gauge = [&registry] {
+        for (const auto &snap : registry.snapshot()) {
+            if (snap.name == "capmaestro_transport_queue_depth")
+                return snap.value;
+        }
+        return -1.0;
+    };
+
+    util::Rng rng(77);
+    for (int step = 0; step < 10000; ++step) {
+        const auto ep = static_cast<net::Transport::Endpoint>(
+            rng.uniformInt(0, 7));
+        const double pick = rng.uniform(0.0, 1.0);
+        if (pick < 0.6) {
+            tp.send(0, ep, frame(static_cast<std::uint8_t>(step)));
+        } else if (pick < 0.8) {
+            tp.advanceBy(rng.uniform(0.0, 4.0));
+        } else {
+            tp.poll(ep);
+        }
+        const auto &st = tp.stats();
+        ASSERT_EQ(tp.inFlight(), st.framesSent - st.framesDropped
+                                     + st.framesDuplicated
+                                     - st.framesDelivered)
+            << "step " << step;
+        ASSERT_EQ(gauge(), static_cast<double>(tp.inFlight()))
+            << "step " << step;
+    }
+    EXPECT_GT(tp.stats().framesDropped, 0u);
+    EXPECT_GT(tp.stats().framesDuplicated, 0u);
+    EXPECT_GT(tp.stats().framesDelivered, 0u);
 }

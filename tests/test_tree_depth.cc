@@ -14,6 +14,12 @@
  * (0-2 aggregator tiers), per-level fan-out 1-64 (product bounded to
  * keep the suite fast), 1-2 feeds with structurally parallel trees.
  *
+ * Under loss the message plane cannot be bit-identical, so deep plans
+ * on a lossy SimTransport are held to the §4.5 safety invariants
+ * instead: every edge ends each period with a budget or a default, and
+ * degradation never hands out more than the root budget beyond the
+ * floors of stations the plane could not see.
+ *
  * Set CAPMAESTRO_NO_NET=1 to skip the UDP test (binds real sockets).
  */
 
@@ -26,6 +32,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "control/control_tree.hh"
@@ -33,6 +40,7 @@
 #include "core/tree_plan.hh"
 #include "net/transport.hh"
 #include "net/udp_transport.hh"
+#include "net/wire.hh"
 #include "topology/power_system.hh"
 #include "util/random.hh"
 
@@ -205,6 +213,56 @@ expectBitIdentical(
             << " flat=" << monos[tree]->leafBudget(ref);
     }
 }
+
+/**
+ * A Transport that forwards to a SimTransport and records, per epoch,
+ * the (tree, edge node) of every Budget frame it hands to a receiver —
+ * what a leaf worker actually got, seen from outside the plane.
+ */
+class BudgetWatch : public net::Transport
+{
+  public:
+    explicit BudgetWatch(net::SimTransport &inner) : inner_(inner) {}
+
+    void send(Endpoint from, Endpoint to,
+              std::vector<std::uint8_t> frame) override
+    {
+        inner_.send(from, to, std::move(frame));
+    }
+
+    std::vector<std::vector<std::uint8_t>> poll(Endpoint to) override
+    {
+        auto frames = inner_.poll(to);
+        for (const auto &bytes : frames) {
+            const auto frame = net::decodeFrame(bytes);
+            if (frame && frame->type == net::MsgType::Budget) {
+                delivered.insert({frame->epoch, frame->budget.tree,
+                                  frame->budget.edgeNode});
+            }
+        }
+        return frames;
+    }
+
+    void advanceTo(double ms) override { inner_.advanceTo(ms); }
+    void advanceBy(double ms) override { inner_.advanceBy(ms); }
+    double nowMs() const override { return inner_.nowMs(); }
+    std::size_t inFlight() const override { return inner_.inFlight(); }
+    const net::TransportStats &stats() const override
+    {
+        return inner_.stats();
+    }
+    void setTelemetry(telemetry::Registry *registry) override
+    {
+        inner_.setTelemetry(registry);
+    }
+
+    /** (epoch, tree, edge node) of every delivered Budget frame. */
+    std::set<std::tuple<std::uint32_t, std::size_t, std::uint32_t>>
+        delivered;
+
+  private:
+    net::SimTransport &inner_;
+};
 
 } // namespace
 
@@ -386,5 +444,154 @@ TEST(TreeDepth, PlanShapesAreSound)
             }
         }
         EXPECT_EQ(seen_children.size(), plan.workers.size() - 1);
+    }
+}
+
+TEST(TreeDepth, LossySimPlaneKeepsSafetyInvariants)
+{
+    // Depth-3 and depth-4 plans on a SimTransport that drops,
+    // duplicates and reorders frames, 100 periods each. Leaf inputs
+    // stay fixed, so a stale summary equals the fresh one, and floors
+    // (10-20 W per supply) sit far below every breaker rating, so the
+    // §4.3 floors-first split never grants an edge less than its
+    // default. Every period then must satisfy:
+    //  - each edge either received a Budget frame or applied the
+    //    Pcap_min default (exactly one of the two);
+    //  - per tree, the leaf budgets sum to at most the root budget,
+    //    plus the floors beneath stations whose metrics were lost
+    //    (their parent split its budget without them, so a default
+    //    there is the only way past the root budget);
+    //  - the degraded counters equal the decisions of each kind.
+    int case_index = 0;
+    for (const std::uint32_t tiers : {3u, 4u}) {
+        for (const double drop : {0.1, 0.3}) {
+            ++case_index;
+            util::Rng rng(77000 + static_cast<std::uint64_t>(case_index)
+                                      * 6151);
+            const auto c = randomDeepCase(rng, tiers);
+            const auto policy =
+                policyFor(static_cast<std::uint64_t>(case_index));
+            SCOPED_TRACE("tiers " + std::to_string(tiers) + " drop "
+                         + std::to_string(drop) + " servers "
+                         + std::to_string(c.servers));
+            ASSERT_EQ(core::TreePlan::build(*c.sys, c.aggLevels).tiers(),
+                      tiers);
+
+            net::TransportConfig cfg;
+            cfg.dropRate = drop;
+            cfg.dupRate = 0.1;
+            cfg.reorderRate = 0.2;
+            cfg.seed = 500 + static_cast<std::uint64_t>(case_index);
+            net::SimTransport sim(cfg);
+            BudgetWatch watch(sim);
+            DistributedControlPlane dist(*c.sys, policy, watch, {},
+                                         c.aggLevels);
+
+            // Fixed inputs; per-tree floor and demand totals.
+            const std::size_t trees = c.sys->trees().size();
+            std::vector<Watts> floors(trees, 0.0), demand(trees, 0.0);
+            std::vector<std::pair<topo::ServerSupplyRef,
+                                  ctrl::LeafInput>> inputs;
+            for (std::size_t t = 0; t < trees; ++t) {
+                const auto &tree = c.sys->tree(t);
+                for (const auto &ref : tree.suppliesUnder(tree.root())) {
+                    ctrl::LeafInput in;
+                    in.live = rng.chance(0.95);
+                    in.priority =
+                        static_cast<Priority>(rng.uniformInt(0, 3));
+                    in.capMin = rng.uniform(10.0, 20.0);
+                    in.demand = in.capMin + rng.uniform(80.0, 200.0);
+                    in.constraint = in.demand + rng.uniform(0.0, 60.0);
+                    dist.setLeafInput(ref, in);
+                    inputs.emplace_back(ref, in);
+                    if (in.live) {
+                        floors[t] += in.capMin;
+                        demand[t] += in.demand;
+                    }
+                }
+            }
+            std::vector<Watts> budgets(trees);
+            for (std::size_t t = 0; t < trees; ++t) {
+                budgets[t] = rng.uniform(1.5 * floors[t],
+                                         std::max(1.5 * floors[t],
+                                                  demand[t]));
+            }
+            const auto edges =
+                DistributedControlPlane::partitionEdges(*c.sys);
+
+            std::size_t degraded_periods = 0;
+            for (int period = 0; period < 100; ++period) {
+                const auto stats = dist.iterate(budgets);
+                const std::uint32_t epoch = dist.epoch();
+                if (!stats.degraded.empty())
+                    ++degraded_periods;
+
+                std::size_t stale = 0, lost = 0, defaults = 0;
+                std::set<std::pair<std::size_t, topo::NodeId>>
+                    defaulted;
+                std::vector<std::vector<topo::NodeId>> lost_at(trees);
+                for (const auto &d : stats.degraded) {
+                    switch (d.kind) {
+                    case core::DegradedKind::StaleMetricsReused:
+                        ++stale;
+                        break;
+                    case core::DegradedKind::MetricsLost:
+                        ++lost;
+                        lost_at[d.tree].push_back(d.node);
+                        break;
+                    case core::DegradedKind::DefaultBudgetApplied:
+                        ++defaults;
+                        EXPECT_TRUE(
+                            defaulted.insert({d.tree, d.node}).second)
+                            << "edge defaulted twice";
+                        break;
+                    default:
+                        ADD_FAILURE() << "unexpected degraded kind "
+                                      << core::degradedKindName(d.kind);
+                    }
+                }
+                ASSERT_EQ(stats.staleReuses, stale) << "period " << period;
+                ASSERT_EQ(stats.metricsLost, lost) << "period " << period;
+                ASSERT_EQ(stats.defaultBudgets, defaults)
+                    << "period " << period;
+
+                for (const auto &per_rack : edges) {
+                    for (const auto &[t, node] : per_rack) {
+                        const bool got = watch.delivered.count(
+                            {epoch, t, static_cast<std::uint32_t>(node)});
+                        const bool fell_back = defaulted.count({t, node});
+                        ASSERT_NE(got, fell_back)
+                            << "period " << period << " tree " << t
+                            << " edge " << node << ": budget " << got
+                            << " default " << fell_back;
+                    }
+                }
+
+                for (std::size_t t = 0; t < trees; ++t) {
+                    std::set<std::pair<int, int>> unseen;
+                    for (const topo::NodeId s : lost_at[t]) {
+                        for (const auto &ref :
+                             c.sys->tree(t).suppliesUnder(s))
+                            unseen.insert({ref.server, ref.supply});
+                    }
+                    Watts total = 0.0, allowance = 0.0;
+                    for (const auto &[ref, in] : inputs) {
+                        if (treeOf(*c.sys, ref) != t)
+                            continue;
+                        total += dist.leafBudget(ref);
+                        if (in.live
+                            && unseen.count({ref.server, ref.supply}))
+                            allowance += in.capMin;
+                    }
+                    ASSERT_LE(total, budgets[t] + allowance + 1e-6)
+                        << "period " << period << " tree " << t;
+                }
+                watch.delivered.clear();
+            }
+            // At 30 % drop the fault model must actually bite (at 10 %
+            // four attempts per hop leave ~1e-4 loss, often none).
+            if (drop > 0.2)
+                EXPECT_GT(degraded_periods, 0u);
+        }
     }
 }
